@@ -11,7 +11,7 @@ the inverse direction.
 
 from __future__ import annotations
 
-from .grammar import GenSequence, P_FAMILY, STIRLING_FAMILY
+from .grammar import GenSequence, P_FAMILY, STIRLING_FAMILY, growth_sequences
 from .weyl import Contraction, WeylWord
 
 
@@ -110,27 +110,16 @@ def contraction_to_seq_p(c: Contraction) -> GenSequence:
     return GenSequence(tuple(entries), P_FAMILY)
 
 
+# The paper's names for the two restricted-growth families.
+_GROWTH_FAMILIES = {"P": STIRLING_FAMILY, "Q": P_FAMILY}
+
+
 def enumerate_growth_sequences(kind: str, n: int) -> list[tuple[int, ...]]:
     """All growth sequences of length n in lexicographic order.
 
-    Kind "P": s_1 = 1 and s_j <= #{i < j : s_i = 1} + 1.
-    Kind "Q": s_1 = 1 and 1 <= s_j <= #{i < j : s_i = 2} + 2.
+    Kind "P": s_1 = 1 and s_j <= #{i < j : s_i = 1} + 1 (the plain family).
+    Kind "Q": s_1 = 1 and 1 <= s_j <= #{i < j : s_i = 2} + 2 (the weighted family).
     """
-    if n < 1:
-        raise ValueError("length must be >= 1")
-    if kind not in ("P", "Q"):
+    if kind not in _GROWTH_FAMILIES:
         raise ValueError(f"unknown growth family {kind!r}")
-    out: list[tuple[int, ...]] = []
-
-    def walk(seq: list[int], ones: int, twos: int) -> None:
-        if len(seq) == n:
-            out.append(tuple(seq))
-            return
-        bound = ones + 1 if kind == "P" else twos + 2
-        for s in range(1, bound + 1):
-            seq.append(s)
-            walk(seq, ones + (s == 1), twos + (s == 2))
-            seq.pop()
-
-    walk([1], 1, 0)
-    return out
+    return growth_sequences(_GROWTH_FAMILIES[kind], n)

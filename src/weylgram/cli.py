@@ -27,8 +27,6 @@ from .grammar import (
 )
 from .ring import ParseError, parse_polynomial
 
-SUITES = ("all", "grammar", "weyl", "bijections", "identities", "rook", "shift")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -100,9 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
     rook.set_defaults(handler=_cmd_rook)
 
     ver = sub.add_parser("verify", help="run verification suites")
-    ver.add_argument("--suite", default="all", choices=SUITES)
+    ver.add_argument("--suite", default="all", choices=("all", *verify.SUITES))
     ver.add_argument("--max-n", type=int, default=None)
-    ver.add_argument("--order", type=int, default=8, help="series order for the shift suite")
+    ver.add_argument("--order", type=int, default=None, help="series order for the shift suite")
     ver.add_argument("--format", choices=("plain", "json"), default="plain")
     ver.set_defaults(handler=_cmd_verify)
 
@@ -325,31 +323,23 @@ def _cmd_rook(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
-    max_n = args.max_n
-    if args.order < 0 or args.order > 10:
-        parser.error("--order must be between 0 and 10")
-    reports: list[verify.Report] = []
     run_all = args.suite == "all"
-    wanted = SUITES[1:] if run_all else (args.suite,)
-    for suite in wanted:
-        # with --suite all the shared --max-n is clamped to each suite's
-        # cap; for a single suite an out-of-range value is a usage error
-        if suite == "grammar":
-            reports.append(
-                verify.verify_grammar_theorems(max_n=_budget(parser, max_n, 8, 10, run_all))
-            )
-        elif suite == "weyl":
-            reports.append(
-                verify.verify_weyl(max_len=10, max_n=_budget(parser, max_n, 8, 10, run_all))
-            )
-        elif suite == "bijections":
-            reports.append(verify.verify_bijections(max_n=_budget(parser, max_n, 6, 7, run_all)))
-        elif suite == "identities":
-            reports.append(verify.verify_identities(max_n=_budget(parser, max_n, 8, 10, run_all)))
-        elif suite == "rook":
-            reports.append(verify.verify_rook(max_n=_budget(parser, max_n, 4, 4, run_all)))
-        elif suite == "shift":
-            reports.append(verify.verify_shift(order=args.order))
+    names = list(verify.SUITES) if run_all else [args.suite]
+    if not run_all and args.max_n is not None and verify.SUITES[args.suite].budget != "max_n":
+        parser.error(f"--max-n does not apply to the {args.suite} suite; use --order")
+    budgets: dict[str, int | None] = {}
+    for name, suite in verify.SUITES.items():
+        requested = getattr(args, suite.budget)
+        if requested is None or suite.low <= requested <= suite.cap:
+            budgets[name] = requested
+        elif run_all and suite.budget == "max_n":
+            # the --max-n that --suite all shares is clamped per suite
+            budgets[name] = max(suite.low, min(requested, suite.cap))
+        elif name in names or suite.budget == "order":
+            # a single suite's budget, and --order whichever suite runs
+            flag = "--" + suite.budget.replace("_", "-")
+            parser.error(f"{flag} must be between {suite.low} and {suite.cap} for the {name} suite")
+    reports = [verify.run_suite(name, budgets[name]) for name in names]
     if args.format == "json":
         print(json.dumps([report.to_dict() for report in reports], indent=2))
     else:
@@ -358,16 +348,6 @@ def _cmd_verify(args, parser) -> int:
         overall = all(report.passed for report in reports)
         print(f"overall: {'PASS' if overall else 'FAIL'}")
     return 0 if all(report.passed for report in reports) else 1
-
-
-def _budget(parser, requested: int | None, default: int, cap: int, clamp: bool) -> int:
-    if requested is None:
-        return default
-    if clamp:
-        return max(1, min(requested, cap))
-    if requested < 1 or requested > cap:
-        parser.error(f"--max-n must be between 1 and {cap} for this suite")
-    return requested
 
 
 def _cmd_shift(args, parser) -> int:

@@ -133,13 +133,38 @@ def shift_apply(g: Grammar, a: Polynomial, order: int) -> TruncatedSeries:
 # -- generation sequences ------------------------------------------------
 
 
+def growth_bound(family: str, ones: int, twos: int) -> int:
+    """Largest entry a sequence of the family may take next, after a
+    prefix holding that many 1s and 2s: the ones bound #1s + 1 for the
+    plain family, the twos bound #2s + 2 for the weighted family."""
+    return ones + 1 if family == STIRLING_FAMILY else twos + 2
+
+
+def growth_sequences(family: str, length: int, offset: int = 0) -> list[tuple[int, ...]]:
+    """All sequences of the family with the given length, starting with 1,
+    in lexicographic order.  offset is added to every bound; the plain
+    semantics started from x (rather than x*y) walks with offset -1."""
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    out: list[tuple[int, ...]] = []
+
+    def walk(seq: list[int], ones: int, twos: int) -> None:
+        if len(seq) == length:
+            out.append(tuple(seq))
+            return
+        for s in range(1, growth_bound(family, ones, twos) + offset + 1):
+            seq.append(s)
+            walk(seq, ones + (s == 1), twos + (s == 2))
+            seq.pop()
+
+    walk([1], 1, 0)
+    return out
+
+
 @dataclass(frozen=True)
 class GenSequence:
-    """A generation sequence s_1..s_d with its growth bound checked.
-
-    Plain family: s_1 = 1 and s_j <= #{i < j : s_i = 1} + 1.
-    Weighted family: s_1 = 1 and 1 <= s_j <= #{i < j : s_i = 2} + 2.
-    """
+    """A generation sequence s_1..s_d with its growth bound checked:
+    s_1 = 1 and 1 <= s_j <= growth_bound(family, #1s, #2s before j)."""
 
     entries: tuple[int, ...]
     family: str
@@ -151,13 +176,9 @@ class GenSequence:
             raise ValueError("sequence must start with 1")
         ones = twos = 0
         for j, s in enumerate(self.entries):
-            if j > 0:
-                if self.family == STIRLING_FAMILY:
-                    if not 1 <= s <= ones + 1:
-                        raise ValueError(f"entry {s} at position {j + 1} violates the ones bound")
-                else:
-                    if not 1 <= s <= twos + 2:
-                        raise ValueError(f"entry {s} at position {j + 1} violates the twos bound")
+            if j and not 1 <= s <= growth_bound(self.family, ones, twos):
+                bound = "ones" if self.family == STIRLING_FAMILY else "twos"
+                raise ValueError(f"entry {s} at position {j + 1} violates the {bound} bound")
             ones += s == 1
             twos += s == 2
 
@@ -233,25 +254,16 @@ def enumerate_generations(
         y0 = start_exps.pop(y_name, 0)
         if start_exps != {x_name: 1} or y0 not in (0, 1):
             raise ValueError(f"unsupported start monomial for plain semantics: {start}")
-        records: list[GenerationRecord] = []
-
-        def walk_plain(seq: list[int], y_count: int) -> None:
-            if len(seq) == n + 1:
-                records.append(
-                    GenerationRecord(
-                        GenSequence(tuple(seq), family),
-                        monomial({x_name: 1, y_name: y_count}),
-                        Polynomial.one(),
-                    )
-                )
-                return
-            for s in range(1, y_count + 2):
-                seq.append(s)
-                walk_plain(seq, y_count + 1 if s == 1 else y_count)
-                seq.pop()
-
-        walk_plain([1], y0)
-        return records
+        # Each 1 after the first adds a y letter; from x there is one
+        # letter fewer to pick than from x*y, so the bound is one tighter.
+        return [
+            GenerationRecord(
+                GenSequence(seq, family),
+                monomial({x_name: 1, y_name: y0 + seq.count(1) - 1}),
+                Polynomial.one(),
+            )
+            for seq in growth_sequences(family, n + 1, y0 - 1)
+        ]
     if family == P_FAMILY:
         match = _match_p_grammar(g)
         if match is None:
@@ -260,29 +272,15 @@ def enumerate_generations(
         if dict(start) != {x_name: 1}:
             raise ValueError(f"unsupported start monomial for weighted semantics: {start}")
         p = sym(p_name)
-        records = []
-
-        def walk_weighted(seq: list[int], y_count: int, p_count: int) -> None:
-            if len(seq) == n + 1:
-                records.append(
-                    GenerationRecord(
-                        GenSequence(tuple(seq), family),
-                        monomial({x_name: 1, y_name: y_count}),
-                        p**p_count,
-                    )
-                )
-                return
-            for s in range(1, y_count + 3):
-                seq.append(s)
-                walk_weighted(
-                    seq,
-                    y_count + 1 if s == 2 else y_count,
-                    p_count + 1 if s == 1 else p_count,
-                )
-                seq.pop()
-
-        walk_weighted([1], 0, 0)
-        return records
+        # Each 2 adds a y letter; each 1 after the first takes the p-branch.
+        return [
+            GenerationRecord(
+                GenSequence(seq, family),
+                monomial({x_name: 1, y_name: seq.count(2)}),
+                p ** (seq.count(1) - 1),
+            )
+            for seq in growth_sequences(family, n + 1)
+        ]
     raise ValueError(f"unknown generation family {family!r}")
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from .ring import (
     Polynomial,
@@ -471,25 +471,73 @@ class Triangle:
         return "\n".join(lines) + "\n"
 
 
-TRIANGLE_FAMILIES = (
-    "stirling2",
-    "eulerian",
-    "second-order-eulerian",
-    "stirling-p",
-    "q-stirling",
-    "gen-stirling",
-    "whitney",
-    "sf-plain",
-    "sf-bar",
-    "sf-tilde",
-)
+@dataclass(frozen=True)
+class _Family:
+    """A triangle family: the parameters it takes, with their defaults in
+    display order, then the k-range of row n and the entry at (n, k), both
+    given the bound parameters.  A callable default is computed from the
+    parameters bound before it; a parameter whose default is an integer
+    must be bound to an integer."""
+
+    params: dict[str, object]
+    columns: Callable[[int, dict], range]
+    value: Callable[[int, int, dict], Polynomial]
 
 
-def _int_param(params: dict[str, ParamValue], name: str, default: int) -> int:
-    value = params.get(name, default)
-    if not isinstance(value, int):
-        raise ValueError(f"parameter {name} must be an integer for this family")
-    return value
+def _bind_int(value: Polynomial, name: str, param: ParamValue) -> Polynomial:
+    """Substitute an integer parameter; any other binding stays symbolic."""
+    return value.substitute(name, param) if isinstance(param, int) else value
+
+
+def _second_order_row(n: int) -> tuple[int, ...]:
+    if n not in SECOND_ORDER_EULERIAN_ROWS:
+        raise ValueError(f"bundled reference rows stop at n={max(SECOND_ORDER_EULERIAN_ROWS)}")
+    return SECOND_ORDER_EULERIAN_ROWS[n]
+
+
+# The lambdas reach each oracle through its module-level name at call time.
+TRIANGLE_FAMILIES: dict[str, _Family] = {
+    "stirling2": _Family(
+        {}, lambda n, b: range(1, n + 1), lambda n, k, b: Polynomial.rational(stirling2(n, k))
+    ),
+    "eulerian": _Family(
+        {"m": 1},
+        lambda n, b: range(n),
+        lambda n, k, b: Polynomial.rational(eulerian_m(n, k, b["m"])),
+    ),
+    "second-order-eulerian": _Family(
+        {}, lambda n, b: range(n), lambda n, k, b: Polynomial.rational(_second_order_row(n)[k])
+    ),
+    "stirling-p": _Family(
+        {"p": "sym"},
+        lambda n, b: range(1, n + 1),
+        lambda n, k, b: _bind_int(stirling_p(n, k), "p", b["p"]),
+    ),
+    "q-stirling": _Family(
+        {"q": "sym"},
+        lambda n, b: range(1, n + 1),
+        lambda n, k, b: _bind_int(q_stirling(n, k), "q", b["q"]),
+    ),
+    "gen-stirling": _Family(
+        {"r": 2, "s": lambda b: b["r"]},
+        lambda n, b: range(1, n + 1) if b["s"] == 1 else range(b["r"], n * b["r"] + 1),
+        lambda n, k, b: Polynomial.rational(gen_stirling_recur(n, k, b["r"], b["s"])),
+    ),
+    "whitney": _Family(
+        {"m": "m", "r": "r"},
+        lambda n, b: range(n + 1),
+        lambda n, k, b: whitney(n, k, b["m"], b["r"]),
+    ),
+    "sf-plain": _Family(
+        {"m": "m"}, lambda n, b: range(n + 1), lambda n, k, b: sf_numbers(n, k, b["m"], "plain")
+    ),
+    "sf-bar": _Family(
+        {"m": "m"}, lambda n, b: range(n + 1), lambda n, k, b: sf_numbers(n, k, b["m"], "bar")
+    ),
+    "sf-tilde": _Family(
+        {"m": "m"}, lambda n, b: range(n + 1), lambda n, k, b: sf_numbers(n, k, b["m"], "tilde")
+    ),
+}
 
 
 def build_triangle(family: str, max_n: int, params: dict[str, ParamValue] | None = None) -> Triangle:
@@ -497,60 +545,24 @@ def build_triangle(family: str, max_n: int, params: dict[str, ParamValue] | None
     params = dict(params or {})
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    entries: list[tuple[int, int, Polynomial]] = []
-    shown: dict[str, str] = {}
-    if family == "stirling2":
-        for n in range(1, max_n + 1):
-            entries.extend((n, k, Polynomial.rational(stirling2(n, k))) for k in range(1, n + 1))
-    elif family == "eulerian":
-        m = _int_param(params, "m", 1)
-        shown["m"] = str(m)
-        for n in range(1, max_n + 1):
-            entries.extend((n, k, Polynomial.rational(eulerian_m(n, k, m))) for k in range(n))
-    elif family == "second-order-eulerian":
-        if max_n > max(SECOND_ORDER_EULERIAN_ROWS):
-            raise ValueError("bundled reference rows stop at n=8")
-        for n in range(1, max_n + 1):
-            row = SECOND_ORDER_EULERIAN_ROWS[n]
-            entries.extend((n, k, Polynomial.rational(row[k])) for k in range(len(row)))
-    elif family == "stirling-p":
-        shown["p"] = str(params.get("p", "sym"))
-        for n in range(1, max_n + 1):
-            for k in range(1, n + 1):
-                value = stirling_p(n, k)
-                if isinstance(params.get("p"), int):
-                    value = value.substitute("p", params["p"])
-                entries.append((n, k, value))
-    elif family == "q-stirling":
-        shown["q"] = str(params.get("q", "sym"))
-        for n in range(1, max_n + 1):
-            for k in range(1, n + 1):
-                value = q_stirling(n, k)
-                if isinstance(params.get("q"), int):
-                    value = value.substitute("q", params["q"])
-                entries.append((n, k, value))
-    elif family == "gen-stirling":
-        r = _int_param(params, "r", 2)
-        s = _int_param(params, "s", r)
-        shown.update(r=str(r), s=str(s))
-        for n in range(1, max_n + 1):
-            low, high = (1, n) if s == 1 else (r, n * r)
-            entries.extend(
-                (n, k, Polynomial.rational(gen_stirling_recur(n, k, r, s)))
-                for k in range(low, high + 1)
-            )
-    elif family == "whitney":
-        m = params.get("m", "m")
-        r = params.get("r", "r")
-        shown.update(m=str(m), r=str(r))
-        for n in range(1, max_n + 1):
-            entries.extend((n, k, whitney(n, k, m, r)) for k in range(n + 1))
-    elif family in ("sf-plain", "sf-bar", "sf-tilde"):
-        variant = family.split("-", 1)[1]
-        m = params.get("m", "m")
-        shown["m"] = str(m)
-        for n in range(1, max_n + 1):
-            entries.extend((n, k, sf_numbers(n, k, m, variant)) for k in range(n + 1))
-    else:
+    if family not in TRIANGLE_FAMILIES:
         raise ValueError(f"unknown triangle family {family!r}")
-    return Triangle(family, shown, tuple(entries))
+    spec = TRIANGLE_FAMILIES[family]
+    unknown = sorted(set(params) - set(spec.params))
+    if unknown:
+        allowed = ", ".join(spec.params) or "none"
+        raise ValueError(f"{family} takes no parameter {', '.join(unknown)} (allowed: {allowed})")
+    bound: dict[str, ParamValue] = {}
+    for name, default in spec.params.items():
+        if callable(default):
+            default = default(bound)
+        value = params.get(name, default)
+        if isinstance(default, int) and not isinstance(value, int):
+            raise ValueError(f"parameter {name} must be an integer for this family")
+        bound[name] = value
+    entries = tuple(
+        (n, k, spec.value(n, k, bound))
+        for n in range(1, max_n + 1)
+        for k in spec.columns(n, bound)
+    )
+    return Triangle(family, {name: str(value) for name, value in bound.items()}, entries)

@@ -111,19 +111,6 @@ class Polynomial:
     def symbols(self) -> set[str]:
         return {name for mono in self._terms for name, _ in mono}
 
-    def total_degree(self) -> int:
-        if not self._terms:
-            return 0
-        return max(monomial_degree(m) for m in self._terms)
-
-    def degree_in(self, name: str) -> int:
-        deg = 0
-        for mono in self._terms:
-            for sym_name, exp in mono:
-                if sym_name == name:
-                    deg = max(deg, exp)
-        return deg
-
     def coefficient(self, mono: Monomial) -> Fraction:
         return self._terms.get(mono, Fraction(0))
 
@@ -311,6 +298,22 @@ def render_polynomial(p: Polynomial) -> str:
         else:
             parts.append(f" - {body}" if coeff < 0 else f" + {body}")
     return "".join(parts)
+
+
+def render_scaled(coeff: Polynomial, factor: str) -> str:
+    """Render coeff*factor, where factor is a rendered product ("" for 1).
+
+    A coefficient of 1 is omitted; a coefficient with several terms or a
+    leading minus is parenthesized.
+    """
+    if not factor:
+        return render_polynomial(coeff)
+    if coeff == Polynomial.one():
+        return factor
+    text = render_polynomial(coeff)
+    if " + " in text or " - " in text or text.startswith("-"):
+        return f"({text})*{factor}"
+    return f"{text}*{factor}"
 
 
 # -- tokenizer / parser -------------------------------------------------
@@ -651,17 +654,8 @@ class TruncatedSeries:
         for n, coeff in enumerate(self.coefficients):
             if coeff.is_zero():
                 continue
-            text = render_polynomial(coeff)
-            if n == 0:
-                parts.append(text)
-                continue
-            power = self.variable if n == 1 else f"{self.variable}^{n}"
-            if coeff == Polynomial.one():
-                parts.append(power)
-            elif " + " in text or " - " in text or text.startswith("-"):
-                parts.append(f"({text})*{power}")
-            else:
-                parts.append(f"{text}*{power}")
+            power = "" if n == 0 else self.variable if n == 1 else f"{self.variable}^{n}"
+            parts.append(render_scaled(coeff, power))
         body = " + ".join(parts) if parts else "0"
         return f"{body} + O({self.variable}^{self.order + 1})"
 

@@ -28,6 +28,7 @@ from .grammar import (
     derive_n,
     enumerate_generations,
     generation_sum,
+    growth_sequences,
     shift_apply,
 )
 from .ring import Polynomial, TruncatedSeries, monomial, sym
@@ -99,6 +100,38 @@ class Report:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class Suite:
+    """One verification suite: the module-level function that runs it
+    (looked up by name when it runs), the keyword its budget is passed
+    as, and the budget's default and accepted range."""
+
+    function: str
+    budget: str
+    default: int
+    low: int
+    cap: int
+
+
+# Every suite, in the order `verify_all` and `verify --suite all` run them.
+SUITES: dict[str, Suite] = {
+    "grammar": Suite("verify_grammar_theorems", "max_n", 8, 1, 10),
+    "weyl": Suite("verify_weyl", "max_n", 8, 1, 10),
+    "bijections": Suite("verify_bijections", "max_n", 6, 1, 7),
+    "identities": Suite("verify_identities", "max_n", 8, 1, 10),
+    "rook": Suite("verify_rook", "max_n", 4, 1, 4),
+    "shift": Suite("verify_shift", "order", 8, 0, 10),
+}
+
+
+def run_suite(name: str, budget: int | None = None, **options) -> Report:
+    """Run one suite at a budget (its default when None); options are
+    passed on to the suite function."""
+    suite = SUITES[name]
+    value = suite.default if budget is None else budget
+    return globals()[suite.function](**{suite.budget: value}, **options)
+
+
 def _csv(values) -> str:
     """Exact, readable rendering of a value list ('1,8,14,4,0')."""
     return ",".join(str(v) for v in values)
@@ -120,7 +153,7 @@ def _g_qpower(t: int) -> Grammar:
     return Grammar({"x": sym("q") ** t * X + X * Y, "y": Y})
 
 
-def verify_grammar_theorems(max_n: int = 8, max_r: int = 4) -> Report:
+def verify_grammar_theorems(max_n: int = SUITES["grammar"].default, max_r: int = 4) -> Report:
     """Derivative route equals oracle route for every grammar theorem."""
     report = Report("grammar", {"max_n": max_n, "max_r": max_r})
 
@@ -198,7 +231,7 @@ def verify_grammar_theorems(max_n: int = 8, max_r: int = 4) -> Report:
     return report
 
 
-def verify_weyl(max_len: int = 10, max_n: int = 8) -> Report:
+def verify_weyl(max_len: int = 10, max_n: int = SUITES["weyl"].default) -> Report:
     """Wick two-route equality, Stirling rows, and the deformed rows."""
     report = Report("weyl", {"max_len": max_len, "max_n": max_n})
 
@@ -246,7 +279,7 @@ _WEIGHTED_SEQUENCES_LEN4 = (
 )
 
 
-def verify_bijections(max_n: int = 6, count_max_n: int = 9) -> Report:
+def verify_bijections(max_n: int = SUITES["bijections"].default, count_max_n: int = 9) -> Report:
     """Round trips, statistic transport, multiset agreement, and the
     restricted-growth counting corollaries."""
     report = Report("bijections", {"max_n": max_n, "count_max_n": count_max_n})
@@ -268,13 +301,13 @@ def verify_bijections(max_n: int = 6, count_max_n: int = 9) -> Report:
         ]
         report.check(f"round-trip-weighted/(ca)^{length}", 0, len(bad))
 
-        seqs = [GenSequence(s, STIRLING_FAMILY) for s in bijections.enumerate_growth_sequences("P", length)]
+        seqs = [GenSequence(s, STIRLING_FAMILY) for s in growth_sequences(STIRLING_FAMILY, length)]
         bad_seqs = [
             s for s in seqs
             if bijections.contraction_to_seq_stirling(bijections.seq_to_contraction_stirling(s)) != s
         ]
         report.check(f"round-trip-plain-sequences/len={length}", 0, len(bad_seqs))
-        seqs = [GenSequence(s, P_FAMILY) for s in bijections.enumerate_growth_sequences("Q", length)]
+        seqs = [GenSequence(s, P_FAMILY) for s in growth_sequences(P_FAMILY, length)]
         bad_seqs = [
             s for s in seqs
             if bijections.contraction_to_seq_p(bijections.seq_to_contraction_p(s)) != s
@@ -363,7 +396,7 @@ def _exp_series(multiplier: Polynomial | int, order: int) -> TruncatedSeries:
     return TruncatedSeries.var(SHIFT_VARIABLE, order).scale(multiplier).exp()
 
 
-def verify_shift(order: int = 8) -> Report:
+def verify_shift(order: int = SUITES["shift"].default) -> Report:
     """Shift-operator closed forms, checked against independent series."""
     report = Report("shift", {"order": order})
     lam = TruncatedSeries.var(SHIFT_VARIABLE, order)
@@ -394,7 +427,7 @@ def verify_shift(order: int = 8) -> Report:
     return report
 
 
-def verify_identities(max_n: int = 8, seed: int = 20240211) -> Report:
+def verify_identities(max_n: int = SUITES["identities"].default, seed: int = 20240211) -> Report:
     """Cross-family identities: Eulerian-Stirling, route agreements,
     generating functions, specializations, and the Leibniz rule."""
     report = Report("identities", {"max_n": max_n, "seed": seed})
@@ -571,16 +604,19 @@ def _random_polynomial(rng: random.Random) -> Polynomial:
     return terms
 
 
-def verify_rook(max_n: int = 4, b_max_n: int = 5) -> Report:
+def verify_rook(max_n: int = SUITES["rook"].default, b_max_n: int = 5) -> Report:
     """Rook-number correspondence for the alternating two-grammar chains."""
     report = Report("rook", {"max_n": max_n, "b_max_n": b_max_n})
     d1, d2 = _g_shifted(1), _g_shifted(2)
+    # chain[i] applies D1, D2, D1, ... alternately i times to x: the even
+    # chain (D2 D1)^n x is chain[2n], the odd chain D1 (D2 D1)^(n-1) x is
+    # chain[2n-1].
+    chain = [X]
+    for i in range(max(2 * max_n, 2 * b_max_n - 1)):
+        chain.append(derive(d2 if i % 2 else d1, chain[-1]))
 
     for n in range(1, max_n + 1):
-        value = X
-        for _ in range(n):
-            value = derive(d2, derive(d1, value))
-        coeffs = (value.coefficients_in("x")[1]).coefficients_in("y")
+        coeffs = (chain[2 * n].coefficients_in("x")[1]).coefficients_in("y")
         board = numbers.staircase_board(n)
         rooks = numbers.rook_numbers(board)
         actual = [coeffs.get(2 * n - k, Polynomial.zero()).constant_value() for k in range(2 * n + 1)]
@@ -588,11 +624,7 @@ def verify_rook(max_n: int = 4, b_max_n: int = 5) -> Report:
         report.check(f"even-chain-vs-board/n={n}", _csv(expected), _csv(actual))
 
     for n in range(1, b_max_n + 1):
-        value = X
-        for _ in range(n - 1):
-            value = derive(d2, derive(d1, value))
-        value = derive(d1, value)
-        coeffs = (value.coefficients_in("x")[1]).coefficients_in("y")
+        coeffs = (chain[2 * n - 1].coefficients_in("x")[1]).coefficients_in("y")
         expected_row = [numbers.gen_stirling_recur(n, k, 2, 2) for k in range(2, 2 * n + 1)]
         actual_row = [
             coeffs.get(k - 1, Polynomial.zero()).constant_value() for k in range(2, 2 * n + 1)
@@ -604,11 +636,7 @@ def verify_rook(max_n: int = 4, b_max_n: int = 5) -> Report:
     # unasserted.  Empirically the coefficients do match the board one
     # index smaller (reversed), which is noted when it holds.
     for n in range(1, max_n + 1):
-        value = X
-        for _ in range(n - 1):
-            value = derive(d2, derive(d1, value))
-        value = derive(d1, value)
-        poly = value.coefficients_in("x")[1]
+        poly = chain[2 * n - 1].coefficients_in("x")[1]
         coeffs = poly.coefficients_in("y")
         board = numbers.staircase_board(n, with_extra_column=True)
         smaller = numbers.staircase_board(n - 1, with_extra_column=True)
@@ -632,18 +660,15 @@ def verify_rook(max_n: int = 4, b_max_n: int = 5) -> Report:
 
 
 def verify_all(
-    max_n: int = 8,
-    max_len: int = 10,
-    bijection_max_n: int = 6,
-    rook_max_n: int = 4,
-    order: int = 8,
+    max_n: int | None = None,
+    max_len: int | None = None,
+    bijection_max_n: int | None = None,
+    rook_max_n: int | None = None,
+    order: int | None = None,
 ) -> list[Report]:
-    """Run every suite with its default budget; deterministic order."""
-    return [
-        verify_grammar_theorems(max_n=max_n),
-        verify_weyl(max_len=max_len, max_n=max_n),
-        verify_bijections(max_n=bijection_max_n),
-        verify_identities(max_n=max_n),
-        verify_rook(max_n=rook_max_n),
-        verify_shift(order=order),
-    ]
+    """Run every suite in table order.  A budget left as None takes the
+    suite's default from SUITES; max_n goes to each suite without its own
+    budget here, and max_len to the weyl suite."""
+    budgets = {"bijections": bijection_max_n, "rook": rook_max_n, "shift": order}
+    options = {"weyl": {} if max_len is None else {"max_len": max_len}}
+    return [run_suite(name, budgets.get(name, max_n), **options.get(name, {})) for name in SUITES]

@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable, Mapping
 
-from .ring import ParseError, Polynomial, sym
+from .ring import ParseError, Polynomial, render_scaled, sym
 
 ANNIHILATION = "a"
 CREATION = "c"
@@ -136,16 +136,7 @@ class NormalForm:
                 factors.append("c" if i == 1 else f"c^{i}")
             if j:
                 factors.append("a" if j == 1 else f"a^{j}")
-            body = "*".join(factors)
-            text = str(coeff)
-            if not body:
-                parts.append(text)
-            elif coeff == Polynomial.one():
-                parts.append(body)
-            elif " + " in text or " - " in text or text.startswith("-"):
-                parts.append(f"({text})*{body}")
-            else:
-                parts.append(f"{text}*{body}")
+            parts.append(render_scaled(coeff, "*".join(factors)))
         return " + ".join(parts)
 
     def __repr__(self) -> str:

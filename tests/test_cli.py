@@ -5,6 +5,7 @@ import json
 import pytest
 
 from weylgram.cli import main
+from weylgram.verify import SUITES
 from weylgram.ring import parse_polynomial
 
 
@@ -224,11 +225,37 @@ def test_usage_errors_exit_2(capsys):
         ["verify", "--suite", "bijections", "--max-n", "9"],
         ["verify", "--suite", "nonsense"],
         ["triangle", "--family", "stirling2", "--n", "3", "--param", "m=x"],
+        ["verify", "--suite", "shift", "--max-n", "3"],
+        ["triangle", "--family", "whitney", "--n", "3", "--param", "p=3"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
         capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "suite", [name for name, suite in SUITES.items() if suite.budget == "max_n"]
+)
+def test_single_suite_max_n_out_of_range_exits_2(suite, capsys):
+    # rejected before any suite work starts
+    for value in (0, SUITES[suite].cap + 1):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", suite, "--max-n", str(value)])
+        assert exc.value.code == 2, (suite, value)
+        capsys.readouterr()
+
+
+def test_negative_coefficients_are_parenthesized(capsys):
+    code, out = run_cli(capsys, "normal-order", "--word", "(ca)^2", "--param", "p=-1")
+    assert code == 0
+    assert out.strip() == "(-1)*c*a + c^2*a^2"
+
+    code, out = run_cli(
+        capsys, "shift", "--grammar", "x -> -x; y -> y", "--start", "x", "--order", "3"
+    )
+    assert code == 0
+    assert out.strip() == "x + (-x)*lambda + 1/2*x*lambda^2 + (-1/6*x)*lambda^3 + O(lambda^4)"
 
 
 def test_triangle_json(capsys):

@@ -271,6 +271,8 @@ def test_triangle_values_reparse_and_are_integral():
         build_triangle("nonsense", 3)
     with pytest.raises(ValueError):
         build_triangle("second-order-eulerian", 9)
+    with pytest.raises(ValueError, match=r"allowed: m, r"):
+        build_triangle("whitney", 3, {"p": 3})
 
 
 def test_dobinski_rejects_bad_parameters():
