@@ -322,11 +322,19 @@ def _cmd_rook(args, parser) -> int:
     return 0
 
 
+def _flag(budget: str) -> str:
+    """The command-line flag of a verify budget keyword."""
+    return "--" + budget.replace("_", "-")
+
+
 def _cmd_verify(args, parser) -> int:
     run_all = args.suite == "all"
     names = list(verify.SUITES) if run_all else [args.suite]
-    if not run_all and args.max_n is not None and verify.SUITES[args.suite].budget != "max_n":
-        parser.error(f"--max-n does not apply to the {args.suite} suite; use --order")
+    if not run_all:
+        own = verify.SUITES[args.suite].budget
+        for other in {suite.budget for suite in verify.SUITES.values()} - {own}:
+            if getattr(args, other) is not None:
+                parser.error(f"{_flag(other)} does not apply to the {args.suite} suite; use {_flag(own)}")
     budgets: dict[str, int | None] = {}
     for name, suite in verify.SUITES.items():
         requested = getattr(args, suite.budget)
@@ -335,9 +343,8 @@ def _cmd_verify(args, parser) -> int:
         elif run_all and suite.budget == "max_n":
             # the --max-n that --suite all shares is clamped per suite
             budgets[name] = max(suite.low, min(requested, suite.cap))
-        elif name in names or suite.budget == "order":
-            # a single suite's budget, and --order whichever suite runs
-            flag = "--" + suite.budget.replace("_", "-")
+        elif name in names:
+            flag = _flag(suite.budget)
             parser.error(f"{flag} must be between {suite.low} and {suite.cap} for the {name} suite")
     reports = [verify.run_suite(name, budgets[name]) for name in names]
     if args.format == "json":

@@ -4,7 +4,9 @@ polynomials, and truncated power series with polynomial coefficients.
 Symbols are plain strings, ordered lexicographically.  A monomial is a
 sorted tuple of (symbol, exponent) pairs with positive exponents; the
 empty tuple is the constant monomial 1.  Polynomials map monomials to
-nonzero Fractions.  Everything is immutable after construction and every
+nonzero exact rationals, stored as an ``int`` when integral and as a
+``Fraction`` (denominator not 1) otherwise, so integer arithmetic never
+pays for a gcd.  Everything is immutable after construction and every
 operation is a pure function, so values can be shared freely.
 
 The canonical text rendering (terms in graded-lex ascending order,
@@ -49,12 +51,20 @@ def monomial_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
-def _coerce_coeff(value: Rational) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _coerce_coeff(value: Rational) -> Rational:
+    """Stored form of a coefficient: an int, or a non-integral Fraction."""
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def _from_clean(terms: dict[Monomial, Rational]) -> "Polynomial":
+    """Wrap a term map that already holds the invariant, without copying it."""
+    out = Polynomial.__new__(Polynomial)
+    out._terms = terms
+    return out
 
 
 class Polynomial:
@@ -63,15 +73,8 @@ class Polynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, Rational] | None = None):
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                c = _coerce_coeff(coeff)
-                if c:
-                    clean[mono] = clean.get(mono, Fraction(0)) + c
-                    if not clean[mono]:
-                        del clean[mono]
-        self._terms = clean
+        coerced = ((mono, _coerce_coeff(c)) for mono, c in (terms or {}).items())
+        self._terms = {mono: c for mono, c in coerced if c}
 
     # -- constructors -------------------------------------------------
 
@@ -97,32 +100,34 @@ class Polynomial:
 
     # -- inspection ---------------------------------------------------
 
-    def terms(self) -> Mapping[Monomial, Fraction]:
-        """Read-only view of the term map (do not mutate)."""
+    def terms(self) -> Mapping[Monomial, Rational]:
+        """Read-only view of the term map (do not mutate): nonzero
+        coefficients, each an int or a non-integral Fraction."""
         return self._terms
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_integral(self) -> bool:
-        """True if every coefficient is an integer."""
-        return all(c.denominator == 1 for c in self._terms.values())
+        """True if every coefficient is an integer (stored as an int)."""
+        return all(type(c) is int for c in self._terms.values())
 
     def symbols(self) -> set[str]:
         return {name for mono in self._terms for name, _ in mono}
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
+    def coefficient(self, mono: Monomial) -> Rational:
+        """The coefficient of one monomial, 0 if absent; stored form."""
+        return self._terms.get(mono, 0)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Rational:
         """The value of a constant polynomial; error if non-constant."""
         if not self._terms:
-            return Fraction(0)
+            return 0
         if set(self._terms) == {ONE_MONOMIAL}:
             return self._terms[ONE_MONOMIAL]
         raise ValueError(f"not a constant polynomial: {self}")
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Rational]]:
         """Terms in canonical order: graded lex, ascending."""
         names = sorted(self.symbols())
 
@@ -138,13 +143,13 @@ class Polynomial:
         Returns {exponent: polynomial free of that symbol}; the keys are
         exactly the exponents that occur.
         """
-        groups: dict[int, dict[Monomial, Fraction]] = {}
+        groups: dict[int, dict[Monomial, Rational]] = {}
         for mono, coeff in self._terms.items():
             exps = dict(mono)
             e = exps.pop(name, 0)
             rest = tuple(sorted(exps.items()))
             groups.setdefault(e, {})[rest] = coeff
-        return {e: Polynomial(terms) for e, terms in sorted(groups.items())}
+        return {e: _from_clean(terms) for e, terms in sorted(groups.items())}
 
     # -- arithmetic ---------------------------------------------------
 
@@ -152,21 +157,17 @@ class Polynomial:
         other = coerce_polynomial(other)
         terms = dict(self._terms)
         for mono, coeff in other._terms.items():
-            acc = terms.get(mono, Fraction(0)) + coeff
+            acc = terms.get(mono, 0) + coeff
             if acc:
-                terms[mono] = acc
+                terms[mono] = acc if type(acc) is int else _coerce_coeff(acc)
             else:
                 terms.pop(mono, None)
-        out = Polynomial.__new__(Polynomial)
-        out._terms = terms
-        return out
+        return _from_clean(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        out = Polynomial.__new__(Polynomial)
-        out._terms = {m: -c for m, c in self._terms.items()}
-        return out
+        return _from_clean({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "Polynomial" | Rational) -> "Polynomial":
         return self + (-coerce_polynomial(other))
@@ -176,24 +177,26 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial" | Rational) -> "Polynomial":
         other = coerce_polynomial(other)
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, Rational] = {}
         for mono_a, coeff_a in self._terms.items():
             for mono_b, coeff_b in other._terms.items():
                 mono = monomial_mul(mono_a, mono_b)
-                acc = terms.get(mono, Fraction(0)) + coeff_a * coeff_b
+                acc = terms.get(mono, 0) + coeff_a * coeff_b
                 if acc:
-                    terms[mono] = acc
+                    terms[mono] = acc if type(acc) is int else _coerce_coeff(acc)
                 else:
                     terms.pop(mono, None)
-        out = Polynomial.__new__(Polynomial)
-        out._terms = terms
-        return out
+        return _from_clean(terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
+        if exponent and len(self._terms) == 1:
+            # (c*m)^e is c^e times m with every exponent scaled by e.
+            ((mono, coeff),) = self._terms.items()
+            return _from_clean({tuple((n, e * exponent) for n, e in mono): coeff**exponent})
         result = Polynomial.one()
         for _ in range(exponent):
             result = result * self
@@ -206,7 +209,7 @@ class Polynomial:
 
     def diff(self, name: str) -> "Polynomial":
         """Formal partial derivative with respect to one symbol."""
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, Rational] = {}
         for mono, coeff in self._terms.items():
             exps = dict(mono)
             e = exps.get(name, 0)
@@ -217,14 +220,12 @@ class Polynomial:
             else:
                 exps[name] = e - 1
             lowered = tuple(sorted(exps.items()))
-            acc = terms.get(lowered, Fraction(0)) + coeff * e
+            acc = terms.get(lowered, 0) + coeff * e
             if acc:
-                terms[lowered] = acc
+                terms[lowered] = acc if type(acc) is int else _coerce_coeff(acc)
             else:
                 terms.pop(lowered, None)
-        out = Polynomial.__new__(Polynomial)
-        out._terms = terms
-        return out
+        return _from_clean(terms)
 
     def substitute(self, name: str, value: "Polynomial" | Rational) -> "Polynomial":
         """Replace every occurrence of a symbol by a polynomial value."""

@@ -33,6 +33,15 @@ def test_derive_prints_canonical_polynomial(capsys):
     assert str(poly) == out.strip()
 
 
+def test_derive_from_huge_monomial_power(capsys):
+    # the power is formed by scaling exponents, not by 10^8 multiplications
+    code, out = run_cli(
+        capsys, "derive", "--grammar", "x -> x*y; y -> y", "--start", "x^100000000", "--steps", "1"
+    )
+    assert code == 0
+    assert out.strip() == "100000000*x^100000000*y"
+
+
 def test_derive_from_file(tmp_path, capsys):
     rules = tmp_path / "rules.txt"
     rules.write_text("# comment line\nx -> x*y;\ny -> y\n", encoding="utf-8")
@@ -226,6 +235,7 @@ def test_usage_errors_exit_2(capsys):
         ["verify", "--suite", "nonsense"],
         ["triangle", "--family", "stirling2", "--n", "3", "--param", "m=x"],
         ["verify", "--suite", "shift", "--max-n", "3"],
+        ["verify", "--suite", "rook", "--order", "3"],
         ["triangle", "--family", "whitney", "--n", "3", "--param", "p=3"],
     ):
         with pytest.raises(SystemExit) as exc:

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from weylgram.grammar import Grammar, shift_apply
 from weylgram.ring import (
     ParseError,
     Polynomial,
     TruncatedSeries,
+    _from_clean,
     falling_factorial,
     from_falling_factorial_basis,
     parse_polynomial,
@@ -207,3 +209,78 @@ def test_series_exp_is_multiplicative():
 
         a, b = zero_constant_series(), zero_constant_series()
         assert (a + b).exp() == a.exp() * b.exp()
+
+
+def test_power_equals_repeated_product():
+    bases = [
+        X - 2 * Y + 3,
+        parse_polynomial("-1/2*x + 2/3*y^2 - 5"),
+        parse_polynomial("-3/4*p^2*x"),  # one term: the exponent-scaling shortcut
+        Polynomial.rational(Fraction(-2, 3)),
+        Polynomial.zero(),
+    ]
+    for base in bases:
+        product = Polynomial.one()
+        for e in range(10):
+            assert base**e == product, (base, e)
+            assert (base**e).terms() == product.terms(), (base, e)
+            product = product * base
+    assert (X * Y) ** 0 == Polynomial.one()
+    assert ((X * Y) ** 0).terms() == {(): 1}
+
+
+def assert_stored_form(poly):
+    """Every coefficient is an int or a non-integral Fraction, and the value
+    equals (with the same hash) the polynomial stored with Fractions only."""
+    for coeff in poly.terms().values():
+        assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator != 1), (poly, coeff)
+    as_fractions = _from_clean({m: Fraction(c) for m, c in poly.terms().items()})
+    assert poly == as_fractions
+    assert hash(poly) == hash(as_fractions)
+
+
+def test_coefficients_keep_stored_form():
+    a = parse_polynomial("1/2*x + 1/3*y")
+    b = parse_polynomial("1/2*x + 2/3*y - 1")
+    results = [
+        Polynomial({(("x", 1),): Fraction(6, 3)}),
+        Polynomial.rational(Fraction(4, 2)),
+        parse_polynomial("4/2*x - 1/3*y"),
+        a + b,
+        a - b,
+        -a,
+        a * b,
+        a * 6,
+        Polynomial.rational(Fraction(1, 2)) * 2,
+        parse_polynomial("3*x + 4*y").scale(Fraction(1, 2)),
+        parse_polynomial("3*x + 4*y").scale(Fraction(1, 2)).scale(2),
+        parse_polynomial("1/2*x^2 + 1/3*y^3").diff("x"),
+        parse_polynomial("1/2*x^2 + 1/3*y^3").diff("y"),
+        parse_polynomial("1/2*x*y + x").substitute("y", 2),
+        parse_polynomial("x^2*y").substitute("x", a),
+        a**3,
+        (Polynomial.rational(Fraction(3, 2)) * X) ** 2,
+        (X.scale(Fraction(-2, 2))) ** 3,
+    ]
+    results += parse_polynomial("1/2*x*y + 3*x^2 + 2/4*y").coefficients_in("x").values()
+    results += (TruncatedSeries.var("lambda", 4).exp() - 1).scale(Y).exp().coefficients
+    results += shift_apply(Grammar({"x": X * Y, "y": Y}), X, 6).coefficients
+    for poly in results:
+        assert_stored_form(poly)
+    assert (a + b).terms() == {(("x", 1),): 1, (("y", 1),): 1, (): -1}
+    assert parse_polynomial("3*x + 4*y").scale(Fraction(1, 2)).scale(2).is_integral()
+    assert not a.is_integral()
+    assert X.coefficient((("y", 1),)) == 0 and Polynomial.zero().constant_value() == 0
+
+
+def test_rendering_of_mixed_coefficients_is_pinned():
+    for text, rendered in (
+        ("4/2*x - 1/3*y", "-1/3*y + 2*x"),
+        ("1/2*x + 1/2*x + 3/4*y^2 - 6/3", "-2 + x + 3/4*y^2"),
+        (
+            "(1/2*x - 2/3*y + 3)^3",
+            "27 - 18*y + 27/2*x + 4*y^2 - 6*x*y + 9/4*x^2 - 8/27*y^3 + 2/3*x*y^2 - 1/2*x^2*y + 1/8*x^3",
+        ),
+        ("(-1/2*p + 2*x*y)^2*3/4", "3/16*p^2 - 3/2*p*x*y + 3*x^2*y^2"),
+    ):
+        assert str(parse_polynomial(text)) == rendered
