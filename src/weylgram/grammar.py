@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 from typing import Mapping, Sequence
 
@@ -197,41 +198,18 @@ class GenerationRecord:
 
 def _match_stirling(g: Grammar) -> tuple[str, str] | None:
     """Recognize rules {x -> x*y, y -> y}; returns (x, y) letter names."""
-    if len(g.rules) != 2:
-        return None
-    for x_name in g.rules:
-        for y_name in g.rules:
-            if x_name == y_name:
-                continue
-            if g.rules[y_name] == sym(y_name) and g.rules[x_name] == sym(x_name) * sym(y_name):
-                return x_name, y_name
+    for x, y in permutations(g.rules, 2):
+        if g == Grammar({x: sym(x) * sym(y), y: sym(y)}):
+            return x, y
     return None
 
 
 def _match_p_grammar(g: Grammar) -> tuple[str, str, str] | None:
     """Recognize rules {x -> p*x + x*y, y -> y}; returns (x, y, p) names."""
-    if len(g.rules) != 2:
-        return None
-    for x_name in g.rules:
-        for y_name in g.rules:
-            if x_name == y_name or g.rules[y_name] != sym(y_name):
-                continue
-            image = g.rules[x_name]
-            terms = image.terms()
-            if len(terms) != 2:
-                continue
-            xy = monomial({x_name: 1, y_name: 1})
-            if terms.get(xy) != 1:
-                continue
-            rest = dict(terms)
-            del rest[xy]
-            (mono, coeff), = rest.items()
-            exps = dict(mono)
-            if coeff != 1 or exps.get(x_name) != 1 or len(exps) != 2:
-                continue
-            p_name = next(n for n in exps if n != x_name)
-            if exps[p_name] == 1 and p_name != y_name:
-                return x_name, y_name, p_name
+    for x, y in permutations(g.rules, 2):
+        for p in g.rules[x].symbols() - {x, y}:
+            if g == Grammar({x: sym(p) * sym(x) + sym(x) * sym(y), y: sym(y)}):
+                return x, y, p
     return None
 
 

@@ -5,20 +5,21 @@ and ``c`` (creation, black vertex); the same word can be read as a word
 in D and X, since both pairs obey the commutation rule a*c = c*a + 1.
 
 Two independent routes to the normal form are provided: rewriting
-(``normal_order``, repeatedly applying ac -> ca + 1 with memoization)
-and summation over contractions (``wick_sum``); their agreement is a
-core verification target.  ``normal_order_p`` weighs each contracted
-pair of adjacent letters by a symbol p.
+(``normal_order``, multiplying by one letter at a time with a*c = c*a + 1)
+and summation over contractions (``wick_sum``, counting them by number
+of edges); their agreement is a core verification target.
+``normal_order_p`` weighs each contracted adjacent pair by a symbol p.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .ring import ParseError, Polynomial, render_scaled, sym
+from .ring import Monomial, ParseError, Polynomial, monomial, render_scaled
 
 ANNIHILATION = "a"
 CREATION = "c"
@@ -175,32 +176,29 @@ class ContractionStats:
     degree0_white_count: int
 
 
+def _edge_tuples(letters: str) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Each contraction's sorted edges, in lexicographic order: a stack
+    walk of the trie of edge lists, adding edges by rising annihilation."""
+    creations = [p for p, ch in enumerate(letters, start=1) if ch == CREATION]
+    pairs: list[tuple[int, int, int]] = []  # (a, later c, first pair of the next a)
+    for i, ch in enumerate(letters, start=1):
+        if ch == ANNIHILATION:
+            later = [j for j in creations if j > i]
+            pairs += [(i, j, len(pairs) + len(later)) for j in later]
+    stack = [((), 0, 0)]
+    while stack:
+        edges, used, start = stack.pop()
+        yield edges
+        for k in range(len(pairs) - 1, start - 1, -1):
+            i, j, next_start = pairs[k]
+            if not used >> j & 1:
+                stack.append((edges + ((i, j),), used | 1 << j, next_start))
+
+
 def enumerate_contractions(word: WeylWord) -> list[Contraction]:
     """All contractions of a word, null contraction included, ordered
     lexicographically by their sorted edge lists."""
-    letters = word.letters
-    creation_positions = [p for p, ch in enumerate(letters, start=1) if ch == CREATION]
-    annihilation_positions = [p for p, ch in enumerate(letters, start=1) if ch == ANNIHILATION]
-    edge_sets: list[tuple[tuple[int, int], ...]] = []
-
-    def assign(index: int, used: set[int], edges: list[tuple[int, int]]) -> None:
-        if index == len(creation_positions):
-            edge_sets.append(tuple(sorted(edges)))
-            return
-        j = creation_positions[index]
-        assign(index + 1, used, edges)
-        for i in annihilation_positions:
-            if i > j:
-                break
-            if i not in used:
-                used.add(i)
-                edges.append((i, j))
-                assign(index + 1, used, edges)
-                edges.pop()
-                used.remove(i)
-
-    assign(0, set(), [])
-    return [Contraction(word, edges) for edges in sorted(edge_sets)]
+    return [Contraction(word, edges) for edges in _edge_tuples(word.letters)]
 
 
 def contraction_stats(contraction: Contraction) -> ContractionStats:
@@ -227,44 +225,45 @@ def _double_dot_key(word: WeylWord, edge_count: int) -> tuple[int, int]:
 
 
 def wick_sum(word: WeylWord) -> NormalForm:
-    """Normal form as the sum of double-dot images over all contractions."""
-    terms: dict[tuple[int, int], Polynomial] = {}
-    for contraction in enumerate_contractions(word):
-        key = _double_dot_key(word, len(contraction.edges))
-        terms[key] = terms.get(key, Polynomial.zero()) + 1
-    return NormalForm(terms)
+    """Normal form as the sum of double-dot images over all contractions:
+    c^(#c - e) a^(#a - e) counts the contractions with e edges."""
+    counts = Counter(len(edges) for edges in _edge_tuples(word.letters))
+    return NormalForm({_double_dot_key(word, e): n for e, n in counts.items()})
 
 
 def normal_order_p(word: WeylWord, p: str = "p") -> NormalForm:
     """Deformed normal form: each contracted adjacent pair weighs p,
     non-adjacent pairs weigh 1."""
-    weight = sym(p)
-    terms: dict[tuple[int, int], Polynomial] = {}
-    for contraction in enumerate_contractions(word):
-        stats = contraction_stats(contraction)
-        key = _double_dot_key(word, stats.edge_count)
-        terms[key] = terms.get(key, Polynomial.zero()) + weight**stats.adjacent_edge_count
-    return NormalForm(terms)
+    edges_adjacent = ((len(e), sum(j == i + 1 for i, j in e)) for e in _edge_tuples(word.letters))
+    terms: dict[tuple[int, int], dict[Monomial, int]] = {}
+    for (e, adjacent), n in Counter(edges_adjacent).items():
+        terms.setdefault(_double_dot_key(word, e), {})[monomial({p: adjacent})] = n
+    return NormalForm({key: Polynomial(weights) for key, weights in terms.items()})
 
 
+# Whole words only: the rewriting itself keeps no memo, and the cache
+# stays an lru_cache because benchmark traces read its cache_info().
 @lru_cache(maxsize=None)
 def _rewrite_terms(letters: str) -> tuple[tuple[tuple[int, int], int], ...]:
-    """Memoized rewriting ac -> ca + 1 until no 'ac' factor remains."""
-    cut = letters.find("ac")
-    if cut == -1:
-        return (((letters.count("c"), letters.count("a")), 1),)
-    swapped = letters[:cut] + "ca" + letters[cut + 2 :]
-    dropped = letters[:cut] + letters[cut + 2 :]
-    acc: dict[tuple[int, int], int] = {}
-    for source in (swapped, dropped):
-        for key, coeff in _rewrite_terms(source):
-            acc[key] = acc.get(key, 0) + coeff
-    return tuple(sorted(acc.items()))
+    """Right-multiply the normal form by one letter at a time:
+    c^i a^j * a = c^i a^(j+1) and c^i a^j * c = c^(i+1) a^j + j c^i a^(j-1)."""
+    terms = {(0, 0): 1}
+    for letter in letters:
+        if letter == ANNIHILATION:
+            terms = {(i, j + 1): coeff for (i, j), coeff in terms.items()}
+            continue
+        product: dict[tuple[int, int], int] = {}
+        for (i, j), coeff in terms.items():
+            product[i + 1, j] = product.get((i + 1, j), 0) + coeff
+            if j:
+                product[i, j - 1] = product.get((i, j - 1), 0) + j * coeff
+        terms = product
+    return tuple(sorted(terms.items()))
 
 
 def normal_order(word: WeylWord) -> NormalForm:
-    """Normal form by the rewriting route; coefficients are nonnegative
-    integers."""
+    """Normal form by rewriting the word left to right with
+    a*c = c*a + 1; coefficients are nonnegative integers."""
     return NormalForm(dict(_rewrite_terms(word.letters)))
 
 

@@ -77,6 +77,13 @@ def test_normal_order_plain_and_weighted(capsys):
     assert out.strip() == "c*a + 3*c^2*a^2 + c^3*a^3"
 
 
+def test_normal_order_of_long_word(capsys):
+    # deeper than the interpreter recursion limit; no traceback, exit 0
+    code, out = run_cli(capsys, "normal-order", "--word", "(ca)^400")
+    assert code == 0
+    assert out.startswith("c*a + ") and out.rstrip().endswith(" + c^400*a^400")
+
+
 def test_normal_order_json(capsys):
     code, out = run_cli(capsys, "normal-order", "--word", "ac", "--format", "json")
     assert code == 0

@@ -242,6 +242,14 @@ def test_generation_unsupported_pairs():
         enumerate_generations(STIRLING, monomial({"y": 2}), 2, STIRLING_FAMILY)
     with pytest.raises(ValueError):
         enumerate_generations(STIRLING, monomial({"x": 1}), 2, "unknown")
+    with pytest.raises(ValueError):
+        enumerate_generations(parse_grammar("x -> 2*x*y; y -> y"), monomial({"x": 1}), 2, STIRLING_FAMILY)
+    with pytest.raises(ValueError):
+        enumerate_generations(parse_grammar("x -> y*x + x*y; y -> y"), monomial({"x": 1}), 2, P_FAMILY)
+    # the letter names are free: u, v play the roles of x, y
+    renamed = enumerate_generations(parse_grammar("u -> u*v; v -> v"), monomial({"u": 1}), 2, STIRLING_FAMILY)
+    plain = enumerate_generations(STIRLING, monomial({"x": 1}), 2, STIRLING_FAMILY)
+    assert [r.sequence for r in renamed] == [r.sequence for r in plain]
 
 
 # -- shift operator ---------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for normal ordering, contractions and the deformed weighting."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,6 +12,7 @@ from weylgram.weyl import (
     ContractionStats,
     NormalForm,
     WeylWord,
+    _rewrite_terms,
     all_words,
     contraction_stats,
     enumerate_contractions,
@@ -45,6 +47,18 @@ def test_normal_order_number_operator_powers():
         assert normal_order(WeylWord.ca_power(n)) == expected
 
 
+def test_normal_order_long_number_operator_power():
+    # deeper than the interpreter recursion limit: rewriting must not recurse
+    expected = NormalForm({(k, k): stirling2(400, k) for k in range(1, 401)})
+    assert normal_order(WeylWord.ca_power(400)) == expected
+
+
+def test_rewriting_caches_whole_words_only():
+    _rewrite_terms.cache_clear()
+    normal_order(WeylWord("acca" * 10))
+    assert _rewrite_terms.cache_info().currsize == 1
+
+
 def test_normal_order_empty_word():
     assert normal_order(WeylWord("")) == NormalForm({(0, 0): 1})
 
@@ -53,6 +67,13 @@ def test_contraction_counts():
     assert len(enumerate_contractions(WeylWord.ca_power(3))) == 5
     assert len(enumerate_contractions(WeylWord.ca_power(4))) == 15
     assert len(enumerate_contractions(WeylWord("c"))) == 1
+
+
+def test_long_word_without_pairs_has_one_diagram():
+    # more creations than the interpreter recursion limit allows frames
+    word = WeylWord("c" * 3000)
+    assert [c.edges for c in enumerate_contractions(word)] == [()]
+    assert wick_sum(word) == NormalForm({(3000, 0): 1})
 
 
 def test_contraction_enumeration_is_sorted_and_valid():
@@ -106,6 +127,24 @@ def test_wick_equals_rewriting_small():
     for length in range(9):
         for word in all_words(length):
             assert wick_sum(word) == normal_order(word), word.letters
+
+
+def test_tallies_match_contraction_objects():
+    # the public Contraction objects are the reference for the raw tallies
+    for length in range(9):
+        for word in all_words(length):
+            contractions = enumerate_contractions(word)
+            edge_counts = Counter(len(c.edges) for c in contractions)
+            expected = NormalForm(
+                {(word.count("c") - e, word.count("a") - e): n for e, n in edge_counts.items()}
+            )
+            assert wick_sum(word) == expected, word.letters
+            weighted: dict = {}
+            for c in contractions:
+                stats = contraction_stats(c)
+                key = (word.count("c") - stats.edge_count, word.count("a") - stats.edge_count)
+                weighted[key] = weighted.get(key, 0) + P**stats.adjacent_edge_count
+            assert normal_order_p(word) == NormalForm(weighted), word.letters
 
 
 def test_deformed_rows():
