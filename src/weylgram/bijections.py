@@ -23,9 +23,27 @@ def _require_ca_word(contraction: Contraction) -> int:
     return n
 
 
-def _unused_whites_before(black: int, used: set[int]) -> list[int]:
-    """Unused white (even) positions left of a black vertex, nearest first."""
-    return [w for w in range(black - 1, 0, -2) if w not in used]
+def _contraction_by_ranks(ranks: list[int]) -> Contraction:
+    """Contraction of (ca)^len(ranks) built left to right: rank 0 leaves
+    the j-th black vertex isolated, rank k >= 1 joins it to its k-th
+    nearest unused white vertex.  The used whites are kept in a bitmask;
+    the growth bound of a GenSequence guarantees that the k-th exists."""
+    used = 0
+    edges: list[tuple[int, int]] = []
+    for j, rank in enumerate(ranks, start=1):
+        if not rank:
+            continue
+        black = 2 * j - 1
+        for white in range(black - 1, 0, -2):
+            if not used >> white & 1:
+                rank -= 1
+                if not rank:
+                    break
+        else:
+            raise AssertionError("growth bound exceeded")
+        used |= 1 << white
+        edges.append((white, black))
+    return Contraction(WeylWord.ca_power(len(ranks)), tuple(edges))
 
 
 def seq_to_contraction_stirling(s: GenSequence) -> Contraction:
@@ -34,17 +52,7 @@ def seq_to_contraction_stirling(s: GenSequence) -> Contraction:
     unused white vertex."""
     if s.family != STIRLING_FAMILY:
         raise ValueError("sequence is not in the plain family")
-    used: set[int] = set()
-    edges: list[tuple[int, int]] = []
-    for j, entry in enumerate(s.entries[1:], start=2):
-        if entry == 1:
-            continue
-        black = 2 * j - 1
-        whites = _unused_whites_before(black, used)
-        white = whites[entry - 2]
-        used.add(white)
-        edges.append((white, black))
-    return Contraction(WeylWord.ca_power(len(s.entries)), tuple(edges))
+    return _contraction_by_ranks([0 if entry == 1 else entry - 1 for entry in s.entries])
 
 
 def seq_to_contraction_p(s: GenSequence) -> Contraction:
@@ -53,33 +61,23 @@ def seq_to_contraction_p(s: GenSequence) -> Contraction:
     edge), entry k >= 3 joins it to the (k-1)-st nearest unused white."""
     if s.family != P_FAMILY:
         raise ValueError("sequence is not in the weighted family")
-    used: set[int] = set()
-    edges: list[tuple[int, int]] = []
-    for j, entry in enumerate(s.entries[1:], start=2):
-        if entry == 2:
-            continue
-        black = 2 * j - 1
-        whites = _unused_whites_before(black, used)
-        white = whites[0] if entry == 1 else whites[entry - 2]
-        used.add(white)
-        edges.append((white, black))
-    return Contraction(WeylWord.ca_power(len(s.entries)), tuple(edges))
+    ranks = [0 if entry == 2 else 1 if entry == 1 else entry - 1 for entry in s.entries[1:]]
+    return _contraction_by_ranks([0] + ranks)
 
 
 def _edge_labels(contraction: Contraction) -> dict[int, int]:
     """Label the edge at each black vertex by the number of white
     vertices strictly between its endpoints that are not used by any
-    earlier black vertex."""
-    white_of = {black: white for white, black in contraction.edges}
+    earlier black vertex.
+
+    One sweep by rising black vertex keeps the whites used so far in a
+    bitmask; all of them lie left of the current black vertex, so those
+    right of the edge's white are exactly the used ones between."""
     labels: dict[int, int] = {}
-    for black, white in white_of.items():
-        used_earlier = {w for w, b in contraction.edges if b < black}
-        label = sum(
-            1
-            for u in range(white + 2, black, 2)
-            if u not in used_earlier
-        )
-        labels[black] = label
+    used = 0
+    for black, white in sorted((b, w) for w, b in contraction.edges):
+        labels[black] = (black - 1 - white) // 2 - (used >> white).bit_count()
+        used |= 1 << white
     return labels
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, perm
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Union
 
 from .ring import (
     Polynomial,
@@ -243,30 +243,37 @@ def dowling_poly(n: int, m: ParamValue = "m", r: ParamValue = "r", var: str = "x
     return total
 
 
-def _set_partitions(elements: Sequence[int]) -> Iterator[list[list[int]]]:
-    if not elements:
-        yield []
-        return
-    first, rest = elements[0], elements[1:]
-    for partition in _set_partitions(rest):
-        for i in range(len(partition)):
-            yield partition[:i] + [[first] + partition[i]] + partition[i + 1 :]
-        yield [[first]] + partition
-
-
 def rstirling_bruteforce(n: int, k: int, r: int) -> int:
     """Count partitions of {1..n+r} into k+r nonempty blocks keeping the
-    elements 1..r in distinct blocks, by exhaustive enumeration."""
+    elements 1..r in distinct blocks, by exhaustive enumeration.
+
+    Every one of the Bell(n+r) set partitions is visited as a restricted
+    growth string: each element joins one of the blocks opened so far or
+    opens the next one.  The walk keeps an explicit stack, so there is no
+    recursion-depth limit, and tests each partition at its leaf."""
     if n < 0 or r < 0:
         raise ValueError("need n >= 0 and r >= 0")
     if n + r > 12:
         raise ValueError("instance too large for brute force (n + r > 12)")
+    size, wanted = n + r, k + r
     total = 0
-    for partition in _set_partitions(list(range(1, n + r + 1))):
-        if len(partition) != k + r:
+    # (next element, blocks opened, bitmask of blocks holding one of 1..r,
+    # no block holds two of 1..r); the last element is walked inline.
+    stack = [(0, 0, 0, True)]
+    while stack:
+        element, blocks, marked, valid = stack.pop()
+        if element == size:  # only the empty partition of the empty set
+            total += valid and blocks == wanted
             continue
-        if all(sum(1 for x in block if x <= r) <= 1 for block in partition):
-            total += 1
+        last = element + 1 == size
+        for block in range(blocks + 1):
+            opened = blocks + (block == blocks)
+            bit = 1 << block if element < r else 0
+            ok = valid and not marked & bit
+            if last:
+                total += ok and opened == wanted
+            else:
+                stack.append((element + 1, opened, marked | bit, ok))
     return total
 
 
@@ -374,22 +381,33 @@ class FerrersBoard:
 
 def rook_numbers(board: FerrersBoard) -> list[int]:
     """Counts r_0..r_n of non-attacking rook placements, by exhaustive
-    enumeration over columns and row assignments."""
-    n = len(board.heights)
+    enumeration.
+
+    Every placement is built column by column (each column stays empty or
+    takes a rook in a row no earlier column used) and counted once.  The
+    walk keeps an explicit stack, so there is no recursion-depth limit."""
+    heights = board.heights
+    n = len(heights)
     counts = [0] * (n + 1)
-
-    def place(col: int, used_rows: set[int], placed: int) -> None:
-        if col == n:
+    # (next column, bitmask of used rows, rooks placed); the last column is
+    # walked inline.
+    stack = [(0, 0, 0)]
+    while stack:
+        col, used, placed = stack.pop()
+        if col == n:  # only the empty board
             counts[placed] += 1
-            return
-        place(col + 1, used_rows, placed)
-        for row in range(1, board.heights[col] + 1):
-            if row not in used_rows:
-                used_rows.add(row)
-                place(col + 1, used_rows, placed + 1)
-                used_rows.remove(row)
-
-    place(0, set(), 0)
+            continue
+        last = col + 1 == n
+        if last:
+            counts[placed] += 1
+        else:
+            stack.append((col + 1, used, placed))
+        for row in range(heights[col]):
+            if not used >> row & 1:
+                if last:
+                    counts[placed + 1] += 1
+                else:
+                    stack.append((col + 1, used | 1 << row, placed + 1))
     return counts
 
 

@@ -152,16 +152,20 @@ class Contraction:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        edges = tuple(sorted(self.edges))
+        object.__setattr__(self, "edges", edges)
+        letters = self.word.letters
+        size = len(letters)
         seen: set[int] = set()
-        for i, j in self.edges:
-            if not 1 <= i < j <= len(self.word):
+        for i, j in edges:
+            if not 1 <= i < j <= size:
                 raise ValueError(f"edge ({i},{j}) out of range")
-            if self.word.letter(i) != ANNIHILATION or self.word.letter(j) != CREATION:
+            if letters[i - 1] != ANNIHILATION or letters[j - 1] != CREATION:
                 raise ValueError(f"edge ({i},{j}) must join an 'a' to a later 'c'")
             if i in seen or j in seen:
                 raise ValueError(f"vertex reused by edge ({i},{j})")
-            seen.update((i, j))
+            seen.add(i)
+            seen.add(j)
 
     def __str__(self) -> str:
         edge_text = ",".join(f"({i},{j})" for i, j in self.edges)

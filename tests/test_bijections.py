@@ -112,6 +112,31 @@ def test_round_trips_exhaustive():
             assert contraction_to_seq_p(seq_to_contraction_p(s)) == s
 
 
+def _reference_labels(contraction):
+    # each edge's label: the whites strictly between its endpoints that no
+    # edge at an earlier black vertex uses
+    labels = {}
+    for white, black in contraction.edges:
+        used_earlier = {w for w, b in contraction.edges if b < black}
+        labels[black] = sum(1 for u in range(white + 2, black, 2) if u not in used_earlier)
+    return labels
+
+
+def test_sequences_match_reference_labelling():
+    for n in range(1, 9):
+        for c in enumerate_contractions(WeylWord.ca_power(n)):
+            labels = _reference_labels(c)
+            plain, weighted = [1], [1]
+            for black in range(3, 2 * n, 2):
+                label = labels.get(black)
+                plain.append(1 if label is None else label + 2)
+                weighted.append(2 if label is None else 1 if label == 0 else label + 2)
+            assert contraction_to_seq_stirling(c) == _plain_seq(*plain)
+            assert contraction_to_seq_p(c) == _p_seq(*weighted)
+            assert seq_to_contraction_stirling(_plain_seq(*plain)) == c
+            assert seq_to_contraction_p(_p_seq(*weighted)) == c
+
+
 def test_statistic_transport():
     for n in range(1, 7):
         for c in enumerate_contractions(WeylWord.ca_power(n)):

@@ -142,6 +142,13 @@ def test_rook_command(capsys):
     assert json.loads(out) == {"board": "1,1", "rook_numbers": [1, 2, 0]}
 
 
+def test_rook_command_on_long_board(capsys):
+    # more columns than the interpreter recursion limit; no traceback, exit 0
+    code, out = run_cli(capsys, "rook", "--board", ",".join(["0"] * 1200))
+    assert code == 0
+    assert out.strip() == ",".join(["1"] + ["0"] * 1200)
+
+
 def test_shift_command(capsys):
     code, out = run_cli(
         capsys, "shift", "--grammar", "x -> x*y; y -> y", "--start", "x", "--order", "2"

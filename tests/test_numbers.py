@@ -1,5 +1,6 @@
 """Tests for the number-family oracles and their independent routes."""
 
+import random
 from math import comb, factorial
 
 import pytest
@@ -160,6 +161,17 @@ def test_rstirling_bruteforce():
         rstirling_bruteforce(10, 2, 5)
 
 
+def test_rstirling_bruteforce_matches_whitney():
+    # r-Stirling numbers are the Whitney numbers at m = 1
+    for size in range(10):
+        for r in range(size + 1):
+            n = size - r
+            assert rstirling_bruteforce(n, -1, r) == 0
+            assert rstirling_bruteforce(n, n + 1, r) == 0
+            for k in range(-1, n + 2):
+                assert rstirling_bruteforce(n, k, r) == whitney(n, k, 1, r).constant_value(), (n, k, r)
+
+
 def test_sf_rows():
     assert [sf_numbers(2, k) for k in (0, 1, 2)] == [
         (M - 1) ** 2,
@@ -207,6 +219,25 @@ def test_rook_numbers():
     assert padded[:3] == [1, 2, 0] and all(v == 0 for v in padded[3:])
     with pytest.raises(ValueError):
         FerrersBoard((3, 1))
+
+
+def test_rook_numbers_on_a_long_board():
+    # one column more than the default recursion limit
+    assert rook_numbers(FerrersBoard((0,) * 1200)) == [1] + [0] * 1200
+
+
+def test_rook_numbers_match_column_recurrence():
+    # A new column of height h, at least every earlier one, meets k-1 rooks
+    # in k-1 of its h rows: r_k -> r_k + (h - k + 1) r_(k-1).
+    rng = random.Random(20050101)
+    for _ in range(300):
+        heights = sorted(rng.randint(0, 6) for _ in range(rng.randint(0, 8)))
+        expected = [1] + [0] * len(heights)
+        for h in heights:
+            expected = [expected[0]] + [
+                expected[k] + (h - k + 1) * expected[k - 1] for k in range(1, len(expected))
+            ]
+        assert rook_numbers(FerrersBoard(tuple(heights))) == expected, heights
 
 
 def test_staircase_boards():

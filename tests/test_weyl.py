@@ -97,6 +97,31 @@ def test_contraction_validation():
     Contraction(word, ((2, 3),))
 
 
+@pytest.mark.parametrize(
+    "letters, edges, message",
+    [
+        ("caca", ((0, 3),), "edge (0,3) out of range"),
+        ("caca", ((2, 5),), "edge (2,5) out of range"),
+        ("caca", ((4, 3),), "edge (4,3) out of range"),
+        ("caca", ((2, 2),), "edge (2,2) out of range"),
+        ("caca", ((1, 3),), "edge (1,3) must join an 'a' to a later 'c'"),
+        ("caca", ((2, 4),), "edge (2,4) must join an 'a' to a later 'c'"),
+        ("caca", ((2, 3), (2, 3)), "vertex reused by edge (2,3)"),
+        ("aacc", ((2, 3), (1, 3)), "vertex reused by edge (2,3)"),
+        ("caac", ((3, 4), (2, 4)), "vertex reused by edge (3,4)"),
+    ],
+)
+def test_contraction_rejections_name_the_edge(letters, edges, message):
+    with pytest.raises(ValueError) as info:
+        Contraction(WeylWord(letters), edges)
+    assert str(info.value) == message
+
+
+def test_contraction_edges_come_back_sorted():
+    contraction = Contraction(WeylWord("aacaccc"), ((4, 7), (1, 6), (2, 3)))
+    assert contraction.edges == ((1, 6), (2, 3), (4, 7))
+
+
 def test_contraction_stats_examples():
     word = WeylWord.ca_power(4)
     assert contraction_stats(Contraction(word, ((2, 3), (6, 7)))) == ContractionStats(2, 2, 2, 2)
