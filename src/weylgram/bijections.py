@@ -20,6 +20,8 @@ def _require_ca_word(contraction: Contraction) -> int:
     n, rem = divmod(len(letters), 2)
     if rem or letters != "ca" * n:
         raise ValueError(f"word not of (ca)^n shape: {letters!r}")
+    if n == 0:
+        raise ValueError("the empty word has no generation sequence (need (ca)^n with n >= 1)")
     return n
 
 

@@ -7,6 +7,9 @@ implementation; the verification suites compare them.  Triangle entries
 are exact integers or integer polynomials in the declared parameters;
 any rational intermediate (series extraction, signed sums with a 1/2
 factor, division by m^k k!) is asserted integral before it is returned.
+
+The recurrences are built row by row from their first row, with no
+recursion, and every row built is kept per family and parameter binding.
 """
 
 from __future__ import annotations
@@ -14,9 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial, perm
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 from .ring import (
     Polynomial,
@@ -41,28 +43,49 @@ def _as_param(value: ParamValue) -> Polynomial:
     return coerce_polynomial(value)
 
 
+# -- recurrence rows -------------------------------------------------------
+
+# Every row the recurrence oracles have built, keyed by family and bound
+# parameters: _ROWS[key][n] is row n indexed by k, None below the family's
+# first row.  Like the caches it replaced, it is never freed.
+_ROWS: dict[tuple, list] = {}
+
+
+def _walk(key: tuple, n: int, first: list, stay: Callable, step: Callable | None = None) -> list:
+    """Row n of T(n,k) = stay(n,k) T(n-1,k) + step(n,k) T(n-1,k-1), k = 0..n,
+    with T = 0 outside 0..n, built row by row from `first`, which is row
+    len(first) - 1.  A step of None stands for 1: T(n-1,k-1) is added as is."""
+    rows = _ROWS.get(key)
+    if rows is None:
+        rows = _ROWS[key] = [None] * (len(first) - 1) + [first]
+    while len(rows) <= n:
+        i, prev = len(rows), rows[-1]
+        row = [stay(i, 0) * prev[0]]
+        for k in range(1, i):
+            low = prev[k - 1] if step is None else step(i, k) * prev[k - 1]
+            row.append(stay(i, k) * prev[k] + low)
+        row.append(prev[i - 1] if step is None else step(i, i) * prev[i - 1])
+        rows.append(row)
+    return rows[n]
+
+
 # -- Stirling / Bell ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+def _stirling2_row(n: int) -> list[int]:
+    return _walk(("stirling2",), n, [1], lambda n, k: k)
+
+
 def stirling2(n: int, k: int) -> int:
     """Stirling numbers of the second kind, S(n,k) = k S(n-1,k) + S(n-1,k-1)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k < 1 or k > n:
-        return 0
-    if n == 1:
-        return 1 if k == 1 else 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    return _stirling2_row(n)[k] if 0 <= k <= n else 0
 
 
 def bell(n: int) -> int:
     """Row sum of the Stirling triangle."""
-    if n == 0:
-        return 1
-    return sum(stirling2(n, k) for k in range(1, n + 1))
+    return sum(stirling2(n, k) for k in range(n + 1))
 
 
 # -- Eulerian families -----------------------------------------------------
@@ -113,67 +136,60 @@ SECOND_ORDER_EULERIAN_ROWS: dict[int, tuple[int, ...]] = {
 
 # -- deformed Stirling families -------------------------------------------
 
+_ZERO, _ONE, _P, _Q = Polynomial.zero(), Polynomial.one(), sym("p"), sym("q")
 
-@lru_cache(maxsize=None)
+
+def _stirling_p_row(n: int) -> list[Polynomial]:
+    return _walk(("stirling-p",), n, [_ZERO, _ONE], lambda n, k: _P + (k - 1))
+
+
+def _q_stirling_row(n: int) -> list[Polynomial]:
+    return _walk(("q-stirling",), n, [_ZERO, _ONE], lambda n, k: _Q ** (n - 1) + (k - 1))
+
+
 def stirling_p(n: int, k: int) -> Polynomial:
     """S_p(n,k) = (k-1+p) S_p(n-1,k) + S_p(n-1,k-1), S_p(n,1) = p^(n-1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if k < 1 or k > n:
-        return Polynomial.zero()
-    if n == 1:
-        return Polynomial.one()
-    return (sym("p") + (k - 1)) * stirling_p(n - 1, k) + stirling_p(n - 1, k - 1)
+    return _stirling_p_row(n)[k] if 0 <= k <= n else Polynomial.zero()
 
 
-@lru_cache(maxsize=None)
 def q_stirling(n: int, k: int) -> Polynomial:
     """S_q(n+1,k) = (k-1+q^n) S_q(n,k) + S_q(n,k-1), S_q(1,k) = [k=1]."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if k < 1 or k > n:
-        return Polynomial.zero()
-    if n == 1:
-        return Polynomial.one()
-    q = sym("q")
-    return (q ** (n - 1) + (k - 1)) * q_stirling(n - 1, k) + q_stirling(n - 1, k - 1)
+    return _q_stirling_row(n)[k] if 0 <= k <= n else Polynomial.zero()
 
 
-@lru_cache(maxsize=None)
-def _gen_stirling_s1(n: int, k: int, r: int) -> int:
-    # S_{r,1}(n,k) = [k + (n-1)(r-1)] S_{r,1}(n-1,k) + S_{r,1}(n-1,k-1)
-    if k < 1 or k > n:
-        return 0
-    if n == 1:
-        return 1 if k == 1 else 0
-    return (k + (n - 1) * (r - 1)) * _gen_stirling_s1(n - 1, k, r) + _gen_stirling_s1(
-        n - 1, k - 1, r
-    )
-
-
-@lru_cache(maxsize=None)
-def _gen_stirling_rr(n: int, k: int, r: int) -> int:
-    # S_{r,r}(n+1,k) = sum_p C(k+p-r,p) r^(falling p) S_{r,r}(n,k+p-r)
-    if k < r or k > n * r:
-        return 0
-    if n == 1:
-        return 1 if k == r else 0
-    return sum(
-        _comb0(k + p - r, p) * perm(r, p) * _gen_stirling_rr(n - 1, k + p - r, r)
-        for p in range(r + 1)
-    )
-
-
-def gen_stirling_recur(n: int, k: int, r: int, s: int) -> int:
-    """Recurrence route for the generalized Stirling numbers; only the
-    two parameter lines s = 1 and s = r have published recurrences."""
+def _gen_stirling_row(n: int, r: int, s: int) -> list[int]:
+    """Row n of S_{r,s}, indexed by k; only the two parameter lines s = 1
+    and s = r have published recurrences."""
     if n < 1 or r < 1:
         raise ValueError("need n >= 1 and r >= 1")
     if s == 1:
-        return _gen_stirling_s1(n, k, r)
-    if s == r:
-        return _gen_stirling_rr(n, k, r)
-    raise ValueError(f"no recurrence route for s={s} (need s=1 or s=r)")
+        # S_{r,1}(n,k) = [k + (n-1)(r-1)] S_{r,1}(n-1,k) + S_{r,1}(n-1,k-1)
+        return _walk(("gen-stirling", r, 1), n, [0, 1], lambda n, k: k + (n - 1) * (r - 1))
+    if s != r:
+        raise ValueError(f"no recurrence route for s={s} (need s=1 or s=r)")
+    # S_{r,r}(n+1,k) = sum_p C(k+p-r,p) r^(falling p) S_{r,r}(n,k+p-r); row n
+    # spans k = 0..nr and is zero below k = r.
+    rows = _ROWS.setdefault(("gen-stirling", r, r), [None, [0] * r + [1]])
+    while len(rows) <= n:
+        i, prev = len(rows), rows[-1]
+        row = [0] * (i * r + 1)
+        for k in range(r, i * r + 1):
+            row[k] = sum(
+                comb(k + p - r, p) * perm(r, p) * prev[k + p - r]
+                for p in range(min(r, i * r - k) + 1)
+            )
+        rows.append(row)
+    return rows[n]
+
+
+def gen_stirling_recur(n: int, k: int, r: int, s: int) -> int:
+    """Recurrence route for the generalized Stirling numbers (s = 1 or s = r)."""
+    row = _gen_stirling_row(n, r, s)
+    return row[k] if 0 <= k < len(row) else 0
 
 
 def gen_stirling_dobinski(n: int, k: int, r: int, s: int) -> int:
@@ -206,32 +222,22 @@ def _falling_int(x: int, s: int) -> int:
 
 def gen_bell(n: int, r: int) -> int:
     """Row sum of the (r,r) generalized Stirling triangle."""
-    if n < 1 or r < 1:
-        raise ValueError("need n >= 1 and r >= 1")
-    return sum(_gen_stirling_rr(n, k, r) for k in range(r, n * r + 1))
+    return sum(_gen_stirling_row(n, r, r))
 
 
 # -- Whitney / Dowling ----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _whitney_symbolic(n: int, k: int) -> Polynomial:
+def _whitney_row(n: int, m: ParamValue, r: ParamValue) -> list[Polynomial]:
     # W_{m,r}(n,k) = (r + k m) W(n-1,k) + W(n-1,k-1); W(0,k) = [k=0]
-    if k < 0 or k > n:
-        return Polynomial.zero()
-    if n == 0:
-        return Polynomial.one() if k == 0 else Polynomial.zero()
-    return (sym("r") + sym("m") * k) * _whitney_symbolic(n - 1, k) + _whitney_symbolic(
-        n - 1, k - 1
-    )
+    return _walk(("whitney", m, r), n, [_ONE], lambda n, k: _as_param(r) + _as_param(m) * k)
 
 
 def whitney(n: int, k: int, m: ParamValue = "m", r: ParamValue = "r") -> Polynomial:
     """Two-parameter Whitney numbers; parameters may stay symbolic."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    value = _whitney_symbolic(n, k)
-    return value.substitute("m", _as_param(m)).substitute("r", _as_param(r))
+    return _whitney_row(n, m, r)[k] if 0 <= k <= n else Polynomial.zero()
 
 
 def dowling_poly(n: int, m: ParamValue = "m", r: ParamValue = "r", var: str = "x") -> Polynomial:
@@ -282,21 +288,15 @@ def rstirling_bruteforce(n: int, k: int, r: int) -> int:
 SF_VARIANTS = ("plain", "bar", "tilde")
 
 
-@lru_cache(maxsize=None)
-def _sf_symbolic(n: int, k: int, variant: str) -> Polynomial:
-    if k < 0 or k > n:
-        return Polynomial.zero()
-    if n == 0:
-        return Polynomial.one() if k == 0 else Polynomial.zero()
-    m = sym("m")
-    stay = (m * (k + 1) - 1) * _sf_symbolic(n - 1, k, variant)
+def _sf_row(n: int, m: ParamValue, variant: str) -> list[Polynomial]:
+    # stay m(k+1) - 1; step 1 (plain), m (bar) or m k (tilde)
     if variant == "plain":
-        step = _sf_symbolic(n - 1, k - 1, variant)
+        step = None
     elif variant == "bar":
-        step = m * _sf_symbolic(n - 1, k - 1, variant)
+        step = lambda n, k: _as_param(m)
     else:
-        step = m * k * _sf_symbolic(n - 1, k - 1, variant)
-    return stay + step
+        step = lambda n, k: _as_param(m) * k
+    return _walk(("sf", variant, m), n, [_ONE], lambda n, k: _as_param(m) * (k + 1) - 1, step)
 
 
 def sf_numbers(n: int, k: int, m: ParamValue = "m", variant: str = "plain") -> Polynomial:
@@ -310,7 +310,7 @@ def sf_numbers(n: int, k: int, m: ParamValue = "m", variant: str = "plain") -> P
         raise ValueError(f"unknown variant {variant!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _sf_symbolic(n, k, variant).substitute("m", _as_param(m))
+    return _sf_row(n, m, variant)[k] if 0 <= k <= n else Polynomial.zero()
 
 
 def sf_from_eulerian(n: int, k: int, m: int) -> int:
@@ -492,19 +492,19 @@ class Triangle:
 @dataclass(frozen=True)
 class _Family:
     """A triangle family: the parameters it takes, with their defaults in
-    display order, then the k-range of row n and the entry at (n, k), both
-    given the bound parameters.  A callable default is computed from the
-    parameters bound before it; a parameter whose default is an integer
-    must be bound to an integer."""
+    display order, then the k-range of row n and row n itself, indexed by k
+    and holding integers or polynomials, both given the bound parameters.
+    A callable default is computed from the parameters bound before it; a
+    parameter whose default is an integer must be bound to an integer."""
 
     params: dict[str, object]
     columns: Callable[[int, dict], range]
-    value: Callable[[int, int, dict], Polynomial]
+    row: Callable[[int, dict], Sequence[int | Polynomial]]
 
 
-def _bind_int(value: Polynomial, name: str, param: ParamValue) -> Polynomial:
-    """Substitute an integer parameter; any other binding stays symbolic."""
-    return value.substitute(name, param) if isinstance(param, int) else value
+def _bind_int(row: list[Polynomial], name: str, param: ParamValue) -> list[Polynomial]:
+    """Substitute an integer parameter into a row; any other binding stays symbolic."""
+    return [value.substitute(name, param) for value in row] if isinstance(param, int) else row
 
 
 def _second_order_row(n: int) -> tuple[int, ...]:
@@ -513,47 +513,46 @@ def _second_order_row(n: int) -> tuple[int, ...]:
     return SECOND_ORDER_EULERIAN_ROWS[n]
 
 
-# The lambdas reach each oracle through its module-level name at call time.
+# The recurrence families hand out the store's own row lists, so build_triangle
+# only reads a row and never changes it.
 TRIANGLE_FAMILIES: dict[str, _Family] = {
-    "stirling2": _Family(
-        {}, lambda n, b: range(1, n + 1), lambda n, k, b: Polynomial.rational(stirling2(n, k))
-    ),
+    "stirling2": _Family({}, lambda n, b: range(1, n + 1), lambda n, b: _stirling2_row(n)),
     "eulerian": _Family(
         {"m": 1},
         lambda n, b: range(n),
-        lambda n, k, b: Polynomial.rational(eulerian_m(n, k, b["m"])),
+        lambda n, b: [eulerian_m(n, k, b["m"]) for k in range(n)],
     ),
     "second-order-eulerian": _Family(
-        {}, lambda n, b: range(n), lambda n, k, b: Polynomial.rational(_second_order_row(n)[k])
+        {}, lambda n, b: range(n), lambda n, b: _second_order_row(n)
     ),
     "stirling-p": _Family(
         {"p": "sym"},
         lambda n, b: range(1, n + 1),
-        lambda n, k, b: _bind_int(stirling_p(n, k), "p", b["p"]),
+        lambda n, b: _bind_int(_stirling_p_row(n), "p", b["p"]),
     ),
     "q-stirling": _Family(
         {"q": "sym"},
         lambda n, b: range(1, n + 1),
-        lambda n, k, b: _bind_int(q_stirling(n, k), "q", b["q"]),
+        lambda n, b: _bind_int(_q_stirling_row(n), "q", b["q"]),
     ),
     "gen-stirling": _Family(
         {"r": 2, "s": lambda b: b["r"]},
         lambda n, b: range(1, n + 1) if b["s"] == 1 else range(b["r"], n * b["r"] + 1),
-        lambda n, k, b: Polynomial.rational(gen_stirling_recur(n, k, b["r"], b["s"])),
+        lambda n, b: _gen_stirling_row(n, b["r"], b["s"]),
     ),
     "whitney": _Family(
         {"m": "m", "r": "r"},
         lambda n, b: range(n + 1),
-        lambda n, k, b: whitney(n, k, b["m"], b["r"]),
+        lambda n, b: _whitney_row(n, b["m"], b["r"]),
     ),
     "sf-plain": _Family(
-        {"m": "m"}, lambda n, b: range(n + 1), lambda n, k, b: sf_numbers(n, k, b["m"], "plain")
+        {"m": "m"}, lambda n, b: range(n + 1), lambda n, b: _sf_row(n, b["m"], "plain")
     ),
     "sf-bar": _Family(
-        {"m": "m"}, lambda n, b: range(n + 1), lambda n, k, b: sf_numbers(n, k, b["m"], "bar")
+        {"m": "m"}, lambda n, b: range(n + 1), lambda n, b: _sf_row(n, b["m"], "bar")
     ),
     "sf-tilde": _Family(
-        {"m": "m"}, lambda n, b: range(n + 1), lambda n, k, b: sf_numbers(n, k, b["m"], "tilde")
+        {"m": "m"}, lambda n, b: range(n + 1), lambda n, b: _sf_row(n, b["m"], "tilde")
     ),
 }
 
@@ -578,9 +577,8 @@ def build_triangle(family: str, max_n: int, params: dict[str, ParamValue] | None
         if isinstance(default, int) and not isinstance(value, int):
             raise ValueError(f"parameter {name} must be an integer for this family")
         bound[name] = value
-    entries = tuple(
-        (n, k, spec.value(n, k, bound))
-        for n in range(1, max_n + 1)
-        for k in spec.columns(n, bound)
-    )
-    return Triangle(family, {name: str(value) for name, value in bound.items()}, entries)
+    entries = []
+    for n in range(1, max_n + 1):
+        row = spec.row(n, bound)
+        entries.extend((n, k, coerce_polynomial(row[k])) for k in spec.columns(n, bound))
+    return Triangle(family, {name: str(value) for name, value in bound.items()}, tuple(entries))

@@ -62,6 +62,14 @@ def test_plain_inverse_examples():
     assert contraction_to_seq_stirling(one_edge).entries == (1, 2)
 
 
+def test_empty_word_has_no_sequence():
+    # (ca)^0 has no generation sequence: the shortest one, (1), is (ca)^1.
+    empty = Contraction(WeylWord(""), ())
+    for to_seq in (contraction_to_seq_stirling, contraction_to_seq_p):
+        with pytest.raises(ValueError):
+            to_seq(empty)
+
+
 def test_plain_multiset_at_length_three():
     # (ca)^3: one contraction with no edges, three with one, one with two
     sequences = sorted(

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -251,6 +252,7 @@ def test_usage_errors_exit_2(capsys):
         ["verify", "--suite", "shift", "--max-n", "3"],
         ["verify", "--suite", "rook", "--order", "3"],
         ["triangle", "--family", "whitney", "--n", "3", "--param", "p=3"],
+        ["bijection", "--family", "stirling", "--word", "", "--edges", ""],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -291,3 +293,147 @@ def test_triangle_json(capsys):
     payload = json.loads(out)
     assert payload["family"] == "gen-stirling"
     assert {"n": 2, "k": 4, "value": "18"} in payload["entries"]
+
+
+# sha256 of stdout for `triangle --n 12` with bound parameters, csv then json.
+# The stirling-p header pins the params rendering as it is: p=sym shows as
+# p=p, while an unset p shows as p=sym.
+TRIANGLE_PARAM_DIGESTS = [
+    (
+        "whitney",
+        "m=2 r=1",
+        "83c7f0cd5f87018dff02e649bd31e4b57d8dbea3a81112b209ee9565767241e1",
+        "a3963a3bcae2c45333a0d6ff69476b56b08397ab2d47ca8f97e12f15339ba893",
+    ),
+    (
+        "whitney",
+        "m=0",
+        "c7a3ecf9caac28b040e279feb66dfc18a9b01cdefe3e70450ef5d4d80ea69e00",
+        "0713c9f2f23c30a4cf96c34e9cef2f90c502d15330965110d7374ff7be408e27",
+    ),
+    (
+        "whitney",
+        "r=0",
+        "67b03a6d7c0fb88845fea60ccfa77dfbf26a1fb7b33556337a6e2a006a7ecca0",
+        "3c546c9b38c162a3cec10f672d967bac8bef49a92d2187fe8ddf0c273ece0ea2",
+    ),
+    (
+        "sf-plain",
+        "m=1",
+        "b49585d2b5519d05252c384ed0eea6abf3353c2805c6b2386ee3702d9a2a4767",
+        "2779eb010b13de45f51c9757573b4d670589526b882d3b1c362eaa7b032a0691",
+    ),
+    (
+        "sf-plain",
+        "m=2",
+        "05712dbaecde5191bee59d0d07bd4ea6794b271557e33e16cad915bbe003bdf5",
+        "0b36f4e6ffc7987d69df13b0a92923b6a089846f7a4fae5199086a270a16b648",
+    ),
+    (
+        "sf-plain",
+        "m=3",
+        "2580fd3133bd73e5bcd5a801cf10f9e76f76182347b3e7b6439bdbd7ebc85334",
+        "a44b18a8f14d83e412a22a3e148f52adc64cdcbbf1865620f147b64a4a0437a7",
+    ),
+    (
+        "sf-bar",
+        "m=1",
+        "9d7b3e5fb06d3ab423a17fd59f246766c79894176fae532529e5c115b59ec65b",
+        "b90b1976248e7dccf5ec65a29546d0a0569b82e0bbede69ad65304bca00db8c1",
+    ),
+    (
+        "sf-bar",
+        "m=2",
+        "572195a5ca0af9b8eec087b6ffa72a3fc699ec9545887993659d28a92a4fa735",
+        "dfff5b255b08209ca15872c9f00807c2705358b1162203ccba7e6004555575bf",
+    ),
+    (
+        "sf-bar",
+        "m=3",
+        "715c5d870a0198731d92677f6dc5137037dd73ea7d2a202c6eb4afb762028548",
+        "6ca8153272aa2d21e68d6c3fdad961b30857e6f5510d70744305ac1a69ccfaf1",
+    ),
+    (
+        "sf-tilde",
+        "m=1",
+        "3322eee4cf9ae1e885bd87b4a943f67efc679db671d007828c416e5c7be5dd16",
+        "c14b763299ce2646c877294a85771e40d498be015cf965aa0477fae53ba60f4c",
+    ),
+    (
+        "sf-tilde",
+        "m=2",
+        "a2a81f87a8998a57187e33b933085a8b89815645b110b4c4e4af5da67a8db663",
+        "cd992f686b1d9d15d418e57bd63c8beb194561132d4ccad232833ae90f767dd2",
+    ),
+    (
+        "sf-tilde",
+        "m=3",
+        "1d2d2c32db8ce6a5c3e8f2ec198c7e67395c69d0ea4969b84c0a1d95fd9dafd5",
+        "9bcc0f1006a331a21df5b647ea8a54313b738d3a491e545700e472c57c917428",
+    ),
+    (
+        "stirling-p",
+        "p=3",
+        "af8acc8f8450800958da34573efaf17b705dda60acee93b06f5aba3554a47e9f",
+        "58158cd75cb813a22a7e20d9fb0410596579489c6a0d35847499937c8542d789",
+    ),
+    (
+        "stirling-p",
+        "p=sym",
+        "29c0b1f219ad3086b2be1f25ac4559858f196f234b4da2476c834f8ad4e0d3c0",
+        "224de9eae328e404c3062d8570c7d9c220baa608df0453d1a131334c76942795",
+    ),
+    (
+        "q-stirling",
+        "q=2",
+        "af9aa39902fc7440e9d328c685d6796c08cb6eace3b0ccc39bd596e9ba8d969b",
+        "3b05dda6fcc0ecb982df1ea400292efc2c732b5f91c82b456a02dc00957b4b1f",
+    ),
+    (
+        "gen-stirling",
+        "r=2 s=1",
+        "143169585c83d0d16a288e21ae039e34de58c6c3c54b281a09c893d4e0831348",
+        "1164d6eda0b8037cb37a1f3804eecfde1d266ac92e28331f8ccb6ac7125d973c",
+    ),
+    (
+        "gen-stirling",
+        "r=2 s=2",
+        "507b4cb434cdc49a8fbe180c4d0a6058c22d1dde59806cb9b5d3a3630c64e998",
+        "a0899a617422ef8332c53e0926228844ff22042f5eb15d5acab87d6dbfaee2d7",
+    ),
+    (
+        "gen-stirling",
+        "r=3 s=1",
+        "6f4badabafdef1474ef62b524f302b10f43b5a930fe4478714becd868c5b54e7",
+        "2ec5ee4c942fd8266887ccbc730869ab187adacb26003b4c70fce34c820b13f2",
+    ),
+    (
+        "gen-stirling",
+        "r=3 s=3",
+        "f94ab7e62f1883468502f513c95add4d22e967640cbbd8f21b224b52a573140c",
+        "568d47c1e1c1a6404e2079cae7d955925b5e22d26dc22c3f5f5a12c112a9177e",
+    ),
+    (
+        "gen-stirling",
+        "r=4 s=1",
+        "6dfdeb513107261b04e6ea3d9f5186db5af4be83bcb1b0ffe492348264c94217",
+        "3bd1457da51f34e4b79f7fd6977a398abb75a699dce875fb0a049b7b03149ced",
+    ),
+    (
+        "gen-stirling",
+        "r=4 s=4",
+        "5849e3247e072091fb62c7a814544609a05fc07758f3dfeb8d7da9f7fdd6e060",
+        "1bcb3c8243d8d8b5109b1b4e2b4526d8587843dc6e43c0c39d486e66843d5d05",
+    ),
+]
+
+
+@pytest.mark.parametrize("family, params, csv_digest, json_digest", TRIANGLE_PARAM_DIGESTS)
+def test_triangle_param_bytes_are_pinned(capsys, family, params, csv_digest, json_digest):
+    for fmt, digest in (("csv", csv_digest), ("json", json_digest)):
+        argv = ["triangle", "--family", family, "--n", "12", "--format", fmt]
+        for param in params.split():
+            argv += ["--param", param]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (family, params, fmt)

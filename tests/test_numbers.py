@@ -1,10 +1,14 @@
 """Tests for the number-family oracles and their independent routes."""
 
+import os
 import random
+import subprocess
+import sys
 from math import comb, factorial
 
 import pytest
 
+import weylgram
 from weylgram.grammar import Grammar, derive_n
 from weylgram.numbers import (
     FerrersBoard,
@@ -311,3 +315,25 @@ def test_dobinski_rejects_bad_parameters():
         gen_stirling_dobinski(2, 2, 1, 2)
     with pytest.raises(ValueError):
         gen_stirling_recur(0, 1, 2, 2)
+
+
+def test_recurrences_need_no_recursion():
+    # A fresh interpreter, so that no row is already built (test_weyl builds
+    # the Stirling rows up to n = 400): 200 rows under a recursion limit of 150.
+    code = """
+import sys
+from math import factorial
+sys.setrecursionlimit(150)
+from weylgram.numbers import bell, gen_stirling_recur, sf_numbers, stirling2, whitney
+assert stirling2(200, 200) == 1 and stirling2(200, 2) == 2**199 - 1
+assert bell(200) == sum(stirling2(200, k) for k in range(201))
+assert gen_stirling_recur(200, 1, 2, 1) == factorial(200)
+assert gen_stirling_recur(200, 400, 2, 2) == 1
+assert whitney(200, 1, 1, 0) == 1 and sf_numbers(200, 200, 1) == 1
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(weylgram.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, result.stderr
