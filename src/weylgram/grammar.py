@@ -5,6 +5,20 @@ rule are constants (derivative zero).  The induced derivative D acts on
 the polynomial ring by linearity, the product rule and the chain rule,
 i.e. D(a) = sum over ruled symbols v of (da/dv) * rule(v).
 
+derive, derive_n, derive_chain and shift_apply share one kernel that
+steps on packed monomials.  Per call it sorts the symbols of the start
+polynomial, the ruled symbols and the image symbols, and gives the i-th
+symbol the bit field [i*w, (i+1)*w) of a Python int, so x^a*y^b packs
+to a + (b << w).  One step adds at most max(0, d - 1) to the total
+degree, where d is the largest degree of an image term, so no exponent
+ever exceeds B = deg(a) + sum over the steps of max(0, d - 1), and the
+field width is w = B.bit_length().  Below 2^w packing is linear and
+injective, so a monomial product is one integer add.  Each rule
+v -> sum c_j*m_j compiles to the pairs (pack(m_j) - (1 << off_v), c_j);
+a step reads e = (m >> off_v) & (2^w - 1) and, if e is nonzero, adds
+c*e*c_j at key m + pack(m_j) - (1 << off_v).  Only the results are
+unpacked to Polynomial.
+
 Two generation semantics are exposed, matching the only two cases with
 a fixed numbering convention: the plain semantics for {x -> x*y, y -> y}
 started from x or x*y (pick a letter position at each step), and the
@@ -24,9 +38,12 @@ from .ring import (
     Monomial,
     ParseError,
     Polynomial,
+    Rational,
     TruncatedSeries,
     _ExprParser,
+    _from_clean,
     monomial,
+    monomial_degree,
     sym,
     tokenize,
 )
@@ -89,20 +106,13 @@ def parse_grammar(text: str) -> Grammar:
 
 def derive(g: Grammar, a: Polynomial) -> Polynomial:
     """One application of the formal derivative."""
-    result = Polynomial.zero()
-    for name, image in g.rules.items():
-        partial = a.diff(name)
-        if not partial.is_zero():
-            result = result + partial * image
-    return result
+    return _derivatives([g], a)[-1]
 
 
 def derive_n(g: Grammar, a: Polynomial, n: int) -> Polynomial:
     if n < 0:
         raise ValueError("derivative count must be >= 0")
-    for _ in range(n):
-        a = derive(g, a)
-    return a
+    return _derivatives([g] * n, a)[-1]
 
 
 def derive_chain(grammars: Sequence[Grammar], a: Polynomial) -> Polynomial:
@@ -113,22 +123,80 @@ def derive_chain(grammars: Sequence[Grammar], a: Polynomial) -> Polynomial:
     """
     if not grammars:
         raise ValueError("empty grammar chain")
-    for g in reversed(grammars):
-        a = derive(g, a)
-    return a
+    return _derivatives(list(reversed(grammars)), a)[-1]
 
 
 def shift_apply(g: Grammar, a: Polynomial, order: int) -> TruncatedSeries:
     """Formal flow sum_{n<=order} lambda^n/n! * D^n(a) as a series in lambda."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    coeffs = []
-    current = a
-    for n in range(order + 1):
-        coeffs.append(current.scale(Fraction(1, factorial(n))))
-        if n < order:
-            current = derive(g, current)
-    return TruncatedSeries(SHIFT_VARIABLE, coeffs)
+    powers = _derivatives([g] * order, a, every=True)
+    return TruncatedSeries(
+        SHIFT_VARIABLE, [p.scale(Fraction(1, factorial(n))) for n, p in enumerate(powers)]
+    )
+
+
+def _derivatives(steps: Sequence[Grammar], a: Polynomial, every: bool = False) -> list[Polynomial]:
+    """D_k(...D_1(a)...) for the grammars D_1..D_k in the order they act,
+    stepped on packed monomials (see the module docstring).  The list
+    holds that one polynomial, or with every, a and each partial result.
+    """
+    distinct = {id(g): g for g in steps}
+    names = a.symbols()
+    growth: dict[int, int] = {}
+    for gid, g in distinct.items():
+        names.update(g.rules)
+        for image in g.rules.values():
+            names |= image.symbols()
+        degrees = [monomial_degree(m) for image in g.rules.values() for m in image.terms()]
+        growth[gid] = max(0, max(degrees, default=0) - 1)
+    bound = max((monomial_degree(m) for m in a.terms()), default=0)
+    bound += sum(growth[id(g)] for g in steps)
+    width = max(1, bound.bit_length())
+    mask = (1 << width) - 1
+    fields = [(name, i * width) for i, name in enumerate(sorted(names))]
+    offset = dict(fields)
+
+    def pack(mono: Monomial) -> int:
+        return sum(e << offset[name] for name, e in mono)
+
+    compiled = {
+        gid: [
+            (offset[v], [(pack(m) - (1 << offset[v]), c) for m, c in image.terms().items()])
+            for v, image in g.rules.items()
+            if not image.is_zero()
+        ]
+        for gid, g in distinct.items()
+    }
+
+    def unpack(terms: dict[int, Rational]) -> Polynomial:
+        return _from_clean({
+            tuple((name, e) for name, off in fields if (e := (m >> off) & mask)): c
+            for m, c in terms.items()
+        })
+
+    terms = {pack(m): c for m, c in a.terms().items()}
+    out = [unpack(terms)] if every else []
+    for g in steps:
+        acc: dict[int, Rational] = {}
+        get = acc.get
+        rules = compiled[id(g)]
+        for m, c in terms.items():
+            for off, image in rules:
+                e = (m >> off) & mask
+                if e:
+                    ce = c * e
+                    for delta, k in image:
+                        key = m + delta
+                        acc[key] = get(key, 0) + ce * k
+        terms = {
+            m: c if type(c) is int or c.denominator != 1 else c.numerator
+            for m, c in acc.items()
+            if c
+        }
+        if every:
+            out.append(unpack(terms))
+    return out if every else [unpack(terms)]
 
 
 # -- generation sequences ------------------------------------------------

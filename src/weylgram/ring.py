@@ -367,7 +367,10 @@ def tokenize(text: str) -> list[Token]:
                 dstart = i
                 while i < n and text[i].isdigit():
                     i += 1
-                value = Fraction(numer, int(text[dstart:i]))
+                denom = int(text[dstart:i])
+                if not denom:
+                    raise ParseError(f"zero denominator at {line}:{col}")
+                value = Fraction(numer, denom)
             else:
                 value = Fraction(numer)
             tokens.append(Token("num", value, line, col))

@@ -253,6 +253,8 @@ def test_usage_errors_exit_2(capsys):
         ["verify", "--suite", "rook", "--order", "3"],
         ["triangle", "--family", "whitney", "--n", "3", "--param", "p=3"],
         ["bijection", "--family", "stirling", "--word", "", "--edges", ""],
+        ["derive", "--grammar", "x -> 1/0*y", "--start", "x", "--steps", "1"],
+        ["derive-chain", "--chain", "x -> x", "--start", "1/0"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

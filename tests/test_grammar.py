@@ -3,7 +3,7 @@ the shift operator."""
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -276,3 +276,123 @@ def test_shift_closed_forms():
     for m in range(1, 5):
         assert shift_apply(STIRLING, Y**m, order) == lam.scale(m).exp().scale(Y**m)
         assert derive_n(STIRLING, Y**m, 9) == Y**m * m**9
+
+
+# -- the packed kernel against the definition --------------------------------
+
+
+def reference_derive(g, a):
+    """The definition D(a) = sum over ruled v of (da/dv) * rule(v), on Polynomial."""
+    return sum((a.diff(v) * image for v, image in g.rules.items()), Polynomial.zero())
+
+
+def reference_chain(steps, a):
+    """D_k(...D_1(a)...) for the grammars in the order they act."""
+    for g in steps:
+        a = reference_derive(g, a)
+    return a
+
+
+def reference_shift(g, a, order):
+    coeffs = []
+    for n in range(order + 1):
+        coeffs.append(a.scale(Fraction(1, factorial(n))))
+        a = reference_derive(g, a)
+    return TruncatedSeries("lambda", coeffs)
+
+
+def assert_stored_form(p):
+    """Every coefficient nonzero, an int, or a Fraction whose denominator is not 1."""
+    for c in p.terms().values():
+        assert c != 0
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+
+
+def _random_polynomial(rng, names, rational, max_terms=4, max_exp=3):
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        chosen = rng.sample(names, rng.randint(0, min(3, len(names))))
+        mono = monomial({name: rng.randint(0, max_exp) for name in chosen})
+        c = rng.randint(-5, 5)
+        if rational and rng.random() < 0.5:
+            c = Fraction(c, rng.randint(2, 5))
+        terms[mono] = terms.get(mono, 0) + c
+    return Polynomial(terms)
+
+
+def _random_grammar(rng, rational):
+    ruled = rng.sample("xyz", rng.randint(1, 3))
+    # images may name p, q and w, which have no rule
+    return Grammar({v: _random_polynomial(rng, list("xyzpqw"), rational, 3, 2) for v in ruled})
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_kernel_matches_reference_on_random_grammars(rational):
+    rng = random.Random(20 + rational)
+    for _ in range(60):
+        g = _random_grammar(rng, rational)
+        a = _random_polynomial(rng, list("xyzp"), rational)
+        n = rng.randint(0, 4)
+        chain = [_random_grammar(rng, rational) for _ in range(rng.randint(1, 3))]
+        results = [
+            (derive(g, a), reference_derive(g, a)),
+            (derive_n(g, a, n), reference_chain([g] * n, a)),
+            (derive_chain(chain, a), reference_chain(chain[::-1], a)),
+        ]
+        for got, want in results:
+            assert got == want
+            assert_stored_form(got)
+        series = shift_apply(g, a, n)
+        assert series == reference_shift(g, a, n)
+        for c in series.coefficients:
+            assert_stored_form(c)
+
+
+def test_kernel_edge_cases():
+    cases = [
+        (parse_grammar("x -> 3"), parse_polynomial("x^3 + 2*x + 7")),  # degree-0 image
+        (parse_grammar("x -> 0; y -> y"), parse_polynomial("x*y + x")),  # zero image
+        (parse_grammar("x -> y - y"), X),  # an image that parses to 0
+        (parse_grammar("x -> y; y -> -x"), X**2 + Y**2),  # cancels to 0 in one step
+        (parse_grammar("x -> p*x + q; y -> w*y"), parse_polynomial("x*y + 5")),  # unruled image symbols
+        (parse_grammar("x -> 1/2*x^2 + 1/3"), parse_polynomial("2/3*x + 1")),  # rational, constant term
+        (STIRLING, Polynomial.zero()),
+        (STIRLING, Polynomial.one()),
+        (STIRLING, parse_polynomial("u^2*v")),  # start symbols outside the grammar
+    ]
+    for g, a in cases:
+        for n in range(5):
+            got = derive_n(g, a, n)
+            assert got == reference_chain([g] * n, a), (str(g), str(a), n)
+            assert_stored_form(got)
+        assert shift_apply(g, a, 4) == reference_shift(g, a, 4)
+    assert derive_n(parse_grammar("x -> y; y -> -x"), X**2 + Y**2, 1).is_zero()
+    assert derive_n(STIRLING, X, 0) == X
+    assert shift_apply(STIRLING, X * Y, 0) == TruncatedSeries("lambda", [X * Y])
+    assert derive(STIRLING, Polynomial.zero()).is_zero()
+
+
+def test_chain_of_grammars_with_different_symbol_sets():
+    chain = [
+        parse_grammar("z -> x*z + 1/2"),
+        parse_grammar("y -> z*y; w -> 2"),
+        parse_grammar("x -> x*y"),
+    ]
+    start = parse_polynomial("x^2 + w")
+    got = derive_chain(chain, start)
+    assert got == reference_chain(chain[::-1], start)
+    # 2x^2*y, then 2x^2*y*z, then 2x^2*y*(x*z + 1/2)
+    assert str(got) == "x^2*y + 2*x^3*y*z"
+    assert_stored_form(got)
+
+
+def test_exponent_reaching_the_packing_bound():
+    # x -> x^3 raises the degree by 2 per step: D^n(x) = (2n-1)!! x^(2n+1),
+    # and 2n + 1 is the kernel's degree bound, so the x field is full.
+    cube = parse_grammar("x -> x^3")
+    double_factorial = 1
+    for n in range(12):
+        assert derive_n(cube, X, n) == X ** (2 * n + 1) * double_factorial
+        assert derive_n(cube, X * Y, n) == X ** (2 * n + 1) * Y * double_factorial
+        assert derive_n(cube, X + Y**3, n) == reference_chain([cube] * n, X + Y**3)
+        double_factorial *= 2 * n + 1

@@ -113,6 +113,10 @@ def test_parse_errors():
         parse_polynomial("x ^ y")
     with pytest.raises(ParseError):
         parse_polynomial("x $ y")
+    with pytest.raises(ParseError, match="zero denominator at 1:1"):
+        parse_polynomial("1/0")
+    with pytest.raises(ParseError, match="zero denominator at 1:5"):
+        parse_polynomial("x + 3/00")
 
 
 def test_falling_factorial_basis_examples():
