@@ -212,22 +212,23 @@ def growth_bound(family: str, ones: int, twos: int) -> int:
 def growth_sequences(family: str, length: int, offset: int = 0) -> list[tuple[int, ...]]:
     """All sequences of the family with the given length, starting with 1,
     in lexicographic order.  offset is added to every bound; the plain
-    semantics started from x (rather than x*y) walks with offset -1."""
+    semantics started from x (rather than x*y) walks with offset -1.
+
+    Built level by level: the sequences of length k + 1 are the
+    lexicographically ordered length-k prefixes, each extended by every
+    entry from 1 up to its bound, so the order stays lexicographic and
+    nothing recurses.  Only the last two levels are held at once.
+    """
     if length < 1:
         raise ValueError("length must be >= 1")
-    out: list[tuple[int, ...]] = []
-
-    def walk(seq: list[int], ones: int, twos: int) -> None:
-        if len(seq) == length:
-            out.append(tuple(seq))
-            return
-        for s in range(1, growth_bound(family, ones, twos) + offset + 1):
-            seq.append(s)
-            walk(seq, ones + (s == 1), twos + (s == 2))
-            seq.pop()
-
-    walk([1], 1, 0)
-    return out
+    level = [(1,)]
+    for _ in range(length - 1):
+        level = [
+            prefix + (s,)
+            for prefix in level
+            for s in range(1, growth_bound(family, prefix.count(1), prefix.count(2)) + offset + 1)
+        ]
+    return level
 
 
 @dataclass(frozen=True)

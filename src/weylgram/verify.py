@@ -331,8 +331,8 @@ def verify_bijections(max_n: int = SUITES["bijections"].default, count_max_n: in
         for contraction in weyl.enumerate_contractions(weyl.WeylWord.ca_power(length)):
             stats = weyl.contraction_stats(contraction)
             seq = bijections.contraction_to_seq_p(contraction)
-            ones = sum(1 for s in seq.entries[1:] if s == 1)
-            twos = sum(1 for s in seq.entries[1:] if s == 2)
+            ones = seq.entries.count(1) - 1  # s_1 = 1
+            twos = seq.entries.count(2)
             if ones != stats.adjacent_edge_count or twos != stats.degree0_black_count - 1:
                 mismatches += 1
         report.check(f"statistic-transport/(ca)^{length}", 0, mismatches)
@@ -373,7 +373,7 @@ def verify_bijections(max_n: int = SUITES["bijections"].default, count_max_n: in
         report.check(f"cardinality-twos-bounded/n={n}", numbers.bell(n), len(q_seqs))
         ones_dist = {k: 0 for k in range(1, n + 1)}
         for s in p_seqs:
-            ones_dist[sum(1 for e in s if e == 1)] += 1
+            ones_dist[s.count(1)] += 1
         report.check(
             f"ones-distribution/n={n}",
             {k: numbers.stirling2(n, k) for k in range(1, n + 1)},
@@ -381,7 +381,7 @@ def verify_bijections(max_n: int = SUITES["bijections"].default, count_max_n: in
         )
         twos_dist = {k: 0 for k in range(n)}
         for s in q_seqs:
-            twos_dist[sum(1 for e in s if e == 2)] += 1
+            twos_dist[s.count(2)] += 1
         report.check(
             f"twos-distribution/n={n}",
             {k: numbers.stirling2(n, k + 1) for k in range(n)},

@@ -9,6 +9,13 @@ Two independent routes to the normal form are provided: rewriting
 and summation over contractions (``wick_sum``, counting them by number
 of edges); their agreement is a core verification target.
 ``normal_order_p`` weighs each contracted adjacent pair by a symbol p.
+
+``enumerate_contractions``, ``wick_sum`` and ``normal_order_p`` share one
+walker, ``_contraction_nodes``.  Each node it yields carries a
+contraction's sorted edges, its edge count and its adjacent-edge count,
+so the two tallies count nodes without re-reading any edge list.  It
+builds the word's candidate edges once, as one flat list, and keeps
+O(pairs) memory besides its stack.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .ring import Monomial, ParseError, Polynomial, monomial, render_scaled
@@ -156,16 +164,16 @@ class Contraction:
         object.__setattr__(self, "edges", edges)
         letters = self.word.letters
         size = len(letters)
-        seen: set[int] = set()
+        seen = 0  # bit v set once vertex v is matched
         for i, j in edges:
             if not 1 <= i < j <= size:
                 raise ValueError(f"edge ({i},{j}) out of range")
             if letters[i - 1] != ANNIHILATION or letters[j - 1] != CREATION:
                 raise ValueError(f"edge ({i},{j}) must join an 'a' to a later 'c'")
-            if i in seen or j in seen:
+            ends = 1 << i | 1 << j
+            if seen & ends:
                 raise ValueError(f"vertex reused by edge ({i},{j})")
-            seen.add(i)
-            seen.add(j)
+            seen |= ends
 
     def __str__(self) -> str:
         edge_text = ",".join(f"({i},{j})" for i, j in self.edges)
@@ -180,29 +188,44 @@ class ContractionStats:
     degree0_white_count: int
 
 
-def _edge_tuples(letters: str) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Each contraction's sorted edges, in lexicographic order: a stack
-    walk of the trie of edge lists, adding edges by rising annihilation."""
-    creations = [p for p, ch in enumerate(letters, start=1) if ch == CREATION]
-    pairs: list[tuple[int, int, int]] = []  # (a, later c, first pair of the next a)
-    for i, ch in enumerate(letters, start=1):
-        if ch == ANNIHILATION:
-            later = [j for j in creations if j > i]
-            pairs += [(i, j, len(pairs) + len(later)) for j in later]
-    stack = [((), 0, 0)]
+_Node = tuple[tuple[tuple[int, int], ...], int, int, int, int]
+
+
+def _contraction_nodes(letters: str) -> Iterator[_Node]:
+    """One node per contraction of the word, in lexicographic order of
+    the sorted edges: a stack walk of the trie of edge lists that adds
+    edges by rising annihilation.  A node is (sorted edges, edge count,
+    adjacent-edge count, mask of used creations, candidate end).
+
+    The candidate edges are built once, as one flat list with the latest
+    annihilation first, so the candidates of the annihilations after a
+    node's last edge are the list's first ``end`` entries.  The list is
+    O(pairs); a tail list per starting candidate would be O(pairs^2).
+    """
+    creations = [j for j, ch in enumerate(letters, start=1) if ch == CREATION]
+    annihilations = [i for i, ch in enumerate(letters, start=1) if ch == ANNIHILATION]
+    # (edge, its creation's bit, adjacent?, candidate end after its annihilation)
+    candidates: list[tuple[tuple[int, int], int, bool, int]] = []
+    for i in reversed(annihilations):
+        end = len(candidates)
+        candidates += [((i, j), 1 << j, j == i + 1, end) for j in reversed(creations) if j > i]
+    stack = [((), 0, 0, 0, len(candidates))]
+    push = stack.append
     while stack:
-        edges, used, start = stack.pop()
-        yield edges
-        for k in range(len(pairs) - 1, start - 1, -1):
-            i, j, next_start = pairs[k]
-            if not used >> j & 1:
-                stack.append((edges + ((i, j),), used | 1 << j, next_start))
+        node = stack.pop()
+        yield node
+        edges, count, adjacent, used, end = node
+        count += 1
+        # latest candidate pushed first, so the earliest pops first
+        for edge, bit, adj, next_end in candidates[:end]:
+            if not used & bit:
+                push((edges + (edge,), count, adjacent + adj, used | bit, next_end))
 
 
 def enumerate_contractions(word: WeylWord) -> list[Contraction]:
     """All contractions of a word, null contraction included, ordered
     lexicographically by their sorted edge lists."""
-    return [Contraction(word, edges) for edges in _edge_tuples(word.letters)]
+    return [Contraction(word, node[0]) for node in _contraction_nodes(word.letters)]
 
 
 def contraction_stats(contraction: Contraction) -> ContractionStats:
@@ -231,16 +254,16 @@ def _double_dot_key(word: WeylWord, edge_count: int) -> tuple[int, int]:
 def wick_sum(word: WeylWord) -> NormalForm:
     """Normal form as the sum of double-dot images over all contractions:
     c^(#c - e) a^(#a - e) counts the contractions with e edges."""
-    counts = Counter(len(edges) for edges in _edge_tuples(word.letters))
+    counts = Counter(map(itemgetter(1), _contraction_nodes(word.letters)))
     return NormalForm({_double_dot_key(word, e): n for e, n in counts.items()})
 
 
 def normal_order_p(word: WeylWord, p: str = "p") -> NormalForm:
     """Deformed normal form: each contracted adjacent pair weighs p,
     non-adjacent pairs weigh 1."""
-    edges_adjacent = ((len(e), sum(j == i + 1 for i, j in e)) for e in _edge_tuples(word.letters))
+    counts = Counter(map(itemgetter(1, 2), _contraction_nodes(word.letters)))
     terms: dict[tuple[int, int], dict[Monomial, int]] = {}
-    for (e, adjacent), n in Counter(edges_adjacent).items():
+    for (e, adjacent), n in counts.items():
         terms.setdefault(_double_dot_key(word, e), {})[monomial({p: adjacent})] = n
     return NormalForm({key: Polynomial(weights) for key, weights in terms.items()})
 

@@ -17,6 +17,8 @@ from weylgram.grammar import (
     derive_n,
     enumerate_generations,
     generation_sum,
+    growth_bound,
+    growth_sequences,
     parse_grammar,
     shift_apply,
 )
@@ -166,6 +168,32 @@ def test_gen_sequence_validation():
     with pytest.raises(ValueError):
         GenSequence((1, 3), P_FAMILY)  # no 2 seen so far
     GenSequence((1, 2, 3), P_FAMILY)
+
+
+def reference_growth_sequences(family, length, offset=0):
+    """The recursive walk: extend one prefix at a time, depth first."""
+    out = []
+
+    def walk(seq, ones, twos):
+        if len(seq) == length:
+            out.append(tuple(seq))
+            return
+        for s in range(1, growth_bound(family, ones, twos) + offset + 1):
+            seq.append(s)
+            walk(seq, ones + (s == 1), twos + (s == 2))
+            seq.pop()
+
+    walk([1], 1, 0)
+    return out
+
+
+@pytest.mark.parametrize("family", [STIRLING_FAMILY, P_FAMILY])
+@pytest.mark.parametrize("offset", [0, -1])
+def test_growth_sequences_match_the_recursive_walk(family, offset):
+    for length in range(1, 10):
+        assert growth_sequences(family, length, offset) == reference_growth_sequences(
+            family, length, offset
+        ), length
 
 
 def test_generation_multiset_from_xy():

@@ -1,6 +1,7 @@
 """Tests for normal ordering, contractions and the deformed weighting."""
 
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -12,6 +13,7 @@ from weylgram.weyl import (
     ContractionStats,
     NormalForm,
     WeylWord,
+    _contraction_nodes,
     _rewrite_terms,
     all_words,
     contraction_stats,
@@ -74,6 +76,51 @@ def test_long_word_without_pairs_has_one_diagram():
     word = WeylWord("c" * 3000)
     assert [c.edges for c in enumerate_contractions(word)] == [()]
     assert wick_sum(word) == NormalForm({(3000, 0): 1})
+
+
+def reference_edge_tuples(letters):
+    """The walker before it carried counts: raw sorted edge tuples, in
+    lexicographic order, from a table of (a, later c, first pair of the
+    next a) triples by rising annihilation."""
+    creations = [p for p, ch in enumerate(letters, start=1) if ch == "c"]
+    pairs = []
+    for i, ch in enumerate(letters, start=1):
+        if ch == "a":
+            later = [j for j in creations if j > i]
+            pairs += [(i, j, len(pairs) + len(later)) for j in later]
+    stack = [((), 0, 0)]
+    while stack:
+        edges, used, start = stack.pop()
+        yield edges
+        for k in range(len(pairs) - 1, start - 1, -1):
+            i, j, next_start = pairs[k]
+            if not used >> j & 1:
+                stack.append((edges + ((i, j),), used | 1 << j, next_start))
+
+
+def test_walker_matches_reference_on_all_short_words():
+    for length in range(10):
+        for word in all_words(length):
+            expected = [
+                (edges, len(edges), sum(j == i + 1 for i, j in edges))
+                for edges in reference_edge_tuples(word.letters)
+            ]
+            got = [node[:3] for node in _contraction_nodes(word.letters)]
+            assert got == expected, word.letters
+
+
+def test_walker_builds_its_candidates_in_linear_memory():
+    # 60 a's before 60 c's give 3,600 candidate pairs; one tail list per
+    # starting pair would hold 3600 * 3601 / 2, about 6.5M slots (52 MB of
+    # pointers).  Taking the root node builds the candidates and no more.
+    tracemalloc.start()
+    try:
+        root = next(_contraction_nodes("a" * 60 + "c" * 60))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert root[:3] == ((), 0, 0)
+    assert peak < 4 * 2**20, peak
 
 
 def test_contraction_enumeration_is_sorted_and_valid():
