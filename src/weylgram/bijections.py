@@ -28,23 +28,17 @@ def _require_ca_word(contraction: Contraction) -> int:
 def _contraction_by_ranks(ranks: list[int]) -> Contraction:
     """Contraction of (ca)^len(ranks) built left to right: rank 0 leaves
     the j-th black vertex isolated, rank k >= 1 joins it to its k-th
-    nearest unused white vertex.  The used whites are kept in a bitmask;
-    the growth bound of a GenSequence guarantees that the k-th exists."""
-    used = 0
+    nearest unused white vertex.  The unused whites left of the current
+    black vertex are kept in rising order, so the k-th nearest is the
+    k-th from the end; the growth bound of a GenSequence guarantees that
+    it exists."""
+    unused: list[int] = []
     edges: list[tuple[int, int]] = []
-    for j, rank in enumerate(ranks, start=1):
-        if not rank:
-            continue
-        black = 2 * j - 1
-        for white in range(black - 1, 0, -2):
-            if not used >> white & 1:
-                rank -= 1
-                if not rank:
-                    break
-        else:
-            raise AssertionError("growth bound exceeded")
-        used |= 1 << white
-        edges.append((white, black))
+    for j, rank in enumerate(ranks):
+        black = 2 * j + 1
+        if rank:
+            edges.append((unused.pop(-rank), black))
+        unused.append(black + 1)
     return Contraction(WeylWord.ca_power(len(ranks)), tuple(edges))
 
 
@@ -85,28 +79,17 @@ def _edge_labels(contraction: Contraction) -> dict[int, int]:
 
 def contraction_to_seq_stirling(c: Contraction) -> GenSequence:
     """Inverse of seq_to_contraction_stirling."""
-    n = _require_ca_word(c)
-    labels = _edge_labels(c)
-    entries = [1]
-    for j in range(2, n + 1):
-        black = 2 * j - 1
-        entries.append(1 if black not in labels else labels[black] + 2)
+    entries = [1] * _require_ca_word(c)
+    for black, label in _edge_labels(c).items():
+        entries[black // 2] = label + 2
     return GenSequence(tuple(entries), STIRLING_FAMILY)
 
 
 def contraction_to_seq_p(c: Contraction) -> GenSequence:
     """Inverse of seq_to_contraction_p."""
-    n = _require_ca_word(c)
-    labels = _edge_labels(c)
-    entries = [1]
-    for j in range(2, n + 1):
-        black = 2 * j - 1
-        if black not in labels:
-            entries.append(2)
-        elif labels[black] == 0:
-            entries.append(1)
-        else:
-            entries.append(labels[black] + 2)
+    entries = [1] + [2] * (_require_ca_word(c) - 1)
+    for black, label in _edge_labels(c).items():
+        entries[black // 2] = label + 2 if label else 1
     return GenSequence(tuple(entries), P_FAMILY)
 
 

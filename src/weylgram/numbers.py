@@ -85,6 +85,8 @@ def stirling2(n: int, k: int) -> int:
 
 def bell(n: int) -> int:
     """Row sum of the Stirling triangle."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     return sum(stirling2(n, k) for k in range(n + 1))
 
 
@@ -242,6 +244,8 @@ def whitney(n: int, k: int, m: ParamValue = "m", r: ParamValue = "r") -> Polynom
 
 def dowling_poly(n: int, m: ParamValue = "m", r: ParamValue = "r", var: str = "x") -> Polynomial:
     """Generating polynomial sum_k W_{m,r}(n,k) var^k."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     x = sym(var)
     total = Polynomial.zero()
     for k in range(n + 1):
@@ -253,33 +257,34 @@ def rstirling_bruteforce(n: int, k: int, r: int) -> int:
     """Count partitions of {1..n+r} into k+r nonempty blocks keeping the
     elements 1..r in distinct blocks, by exhaustive enumeration.
 
-    Every one of the Bell(n+r) set partitions is visited as a restricted
-    growth string: each element joins one of the blocks opened so far or
-    opens the next one.  The walk keeps an explicit stack, so there is no
-    recursion-depth limit, and tests each partition at its leaf."""
+    Each counted partition is built as its own restricted growth string,
+    one element at a time: the element joins one of the blocks opened so
+    far or opens the next one, and every finished string adds 1.  A prefix
+    is extended only while it can still be counted: at most k+r blocks are
+    open, the elements left can still open the rest, and 1..r sit in
+    distinct blocks, so each of them opens a block of its own.  No
+    recurrence is used and no state stands for more than one prefix.  The
+    walk keeps an explicit stack, so there is no recursion-depth limit."""
     if n < 0 or r < 0:
         raise ValueError("need n >= 0 and r >= 0")
     if n + r > 12:
         raise ValueError("instance too large for brute force (n + r > 12)")
     size, wanted = n + r, k + r
     total = 0
-    # (next element, blocks opened, bitmask of blocks holding one of 1..r,
-    # no block holds two of 1..r); the last element is walked inline.
-    stack = [(0, 0, 0, True)]
+    # (elements placed, blocks opened), one entry per prefix; every entry
+    # keeps opened <= wanted <= opened + elements left.
+    stack = [(0, 0)] if 0 <= wanted <= size else []
     while stack:
-        element, blocks, marked, valid = stack.pop()
-        if element == size:  # only the empty partition of the empty set
-            total += valid and blocks == wanted
+        placed, opened = stack.pop()
+        if placed == size:
+            total += 1
             continue
-        last = element + 1 == size
-        for block in range(blocks + 1):
-            opened = blocks + (block == blocks)
-            bit = 1 << block if element < r else 0
-            ok = valid and not marked & bit
-            if last:
-                total += ok and opened == wanted
-            else:
-                stack.append((element + 1, opened, marked | bit, ok))
+        placed += 1
+        if opened < wanted:
+            stack.append((placed, opened + 1))
+        if placed > r and opened + size - placed >= wanted:
+            # one prefix per opened block the element joins
+            stack.extend([(placed, opened)] * opened)
     return total
 
 
@@ -383,31 +388,33 @@ def rook_numbers(board: FerrersBoard) -> list[int]:
     """Counts r_0..r_n of non-attacking rook placements, by exhaustive
     enumeration.
 
-    Every placement is built column by column (each column stays empty or
-    takes a rook in a row no earlier column used) and counted once.  The
-    walk keeps an explicit stack, so there is no recursion-depth limit."""
+    Every placement is built column by column: each column stays empty or
+    takes a rook in one of its rows that no earlier column used, read off
+    the set bits of its free-row mask, so no used row is ever tested.  In
+    the last column, each placement so far counts once as it is and once
+    per free row.  No recurrence and no closed form in the heights is used.
+    The walk keeps an explicit stack, so there is no recursion-depth limit."""
     heights = board.heights
-    n = len(heights)
-    counts = [0] * (n + 1)
-    # (next column, bitmask of used rows, rooks placed); the last column is
-    # walked inline.
+    if not heights:
+        return [1]  # the empty placement of the empty board
+    counts = [0] * (len(heights) + 1)
+    last = len(heights) - 1
+    # (column, bitmask of used rows, rooks placed)
     stack = [(0, 0, 0)]
     while stack:
         col, used, placed = stack.pop()
-        if col == n:  # only the empty board
+        free = ((1 << heights[col]) - 1) & ~used
+        if col == last:
             counts[placed] += 1
+            counts[placed + 1] += free.bit_count()
             continue
-        last = col + 1 == n
-        if last:
-            counts[placed] += 1
-        else:
-            stack.append((col + 1, used, placed))
-        for row in range(heights[col]):
-            if not used >> row & 1:
-                if last:
-                    counts[placed + 1] += 1
-                else:
-                    stack.append((col + 1, used | 1 << row, placed + 1))
+        col += 1
+        stack.append((col, used, placed))
+        placed += 1
+        while free:
+            low = free & -free
+            stack.append((col, used | low, placed))
+            free ^= low
     return counts
 
 

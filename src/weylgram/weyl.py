@@ -229,20 +229,15 @@ def enumerate_contractions(word: WeylWord) -> list[Contraction]:
 
 
 def contraction_stats(contraction: Contraction) -> ContractionStats:
+    """Edge count, adjacent-edge count and isolated vertices of each
+    colour, read off the edges: each edge matches one vertex of each."""
+    edges = contraction.edges
     word = contraction.word
-    matched = {v for edge in contraction.edges for v in edge}
-    adjacent = sum(1 for i, j in contraction.edges if j == i + 1)
-    degree0_black = sum(
-        1
-        for p in range(1, len(word) + 1)
-        if word.letter(p) == CREATION and p not in matched
+    count = len(edges)
+    adjacent = sum(j == i + 1 for i, j in edges)
+    return ContractionStats(
+        count, adjacent, word.count(CREATION) - count, word.count(ANNIHILATION) - count
     )
-    degree0_white = sum(
-        1
-        for p in range(1, len(word) + 1)
-        if word.letter(p) == ANNIHILATION and p not in matched
-    )
-    return ContractionStats(len(contraction.edges), adjacent, degree0_black, degree0_white)
 
 
 def _double_dot_key(word: WeylWord, edge_count: int) -> tuple[int, int]:

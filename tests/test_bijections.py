@@ -107,17 +107,41 @@ def test_weighted_null_contraction():
         assert contraction_to_seq_p(null).entries == (1,) + (2,) * (n - 1)
 
 
+def reference_contraction_by_ranks(ranks):
+    """The rank walk before it kept a list of unused whites: count down
+    the unused whites left of each black vertex, nearest first."""
+    used = 0
+    edges = []
+    for j, rank in enumerate(ranks, start=1):
+        if not rank:
+            continue
+        black = 2 * j - 1
+        for white in range(black - 1, 0, -2):
+            if not used >> white & 1:
+                rank -= 1
+                if not rank:
+                    break
+        used |= 1 << white
+        edges.append((white, black))
+    return Contraction(WeylWord.ca_power(len(ranks)), tuple(edges))
+
+
 def test_round_trips_exhaustive():
-    for n in range(1, 7):
+    for n in range(1, 9):
         for c in enumerate_contractions(WeylWord.ca_power(n)):
             assert seq_to_contraction_stirling(contraction_to_seq_stirling(c)) == c
             assert seq_to_contraction_p(contraction_to_seq_p(c)) == c
         for entries in enumerate_growth_sequences("P", n):
             s = GenSequence(entries, STIRLING_FAMILY)
-            assert contraction_to_seq_stirling(seq_to_contraction_stirling(s)) == s
+            c = seq_to_contraction_stirling(s)
+            assert c == reference_contraction_by_ranks([0 if e == 1 else e - 1 for e in entries])
+            assert contraction_to_seq_stirling(c) == s
         for entries in enumerate_growth_sequences("Q", n):
             s = GenSequence(entries, P_FAMILY)
-            assert contraction_to_seq_p(seq_to_contraction_p(s)) == s
+            c = seq_to_contraction_p(s)
+            ranks = [0] + [0 if e == 2 else 1 if e == 1 else e - 1 for e in entries[1:]]
+            assert c == reference_contraction_by_ranks(ranks)
+            assert contraction_to_seq_p(c) == s
 
 
 def _reference_labels(contraction):

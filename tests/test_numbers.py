@@ -1,5 +1,6 @@
 """Tests for the number-family oracles and their independent routes."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -176,6 +177,45 @@ def test_rstirling_bruteforce_matches_whitney():
                 assert rstirling_bruteforce(n, k, r) == whitney(n, k, 1, r).constant_value(), (n, k, r)
 
 
+def reference_rstirling_bruteforce(n, k, r):
+    """The walk before it pruned: every one of the Bell(n+r) restricted
+    growth strings, each tested at its leaf."""
+    size, wanted = n + r, k + r
+    total = 0
+    # (next element, blocks opened, bitmask of blocks holding one of 1..r,
+    # no block holds two of 1..r); the last element is walked inline.
+    stack = [(0, 0, 0, True)]
+    while stack:
+        element, blocks, marked, valid = stack.pop()
+        if element == size:
+            total += valid and blocks == wanted
+            continue
+        last = element + 1 == size
+        for block in range(blocks + 1):
+            opened = blocks + (block == blocks)
+            bit = 1 << block if element < r else 0
+            ok = valid and not marked & bit
+            if last:
+                total += ok and opened == wanted
+            else:
+                stack.append((element + 1, opened, marked | bit, ok))
+    return total
+
+
+def test_rstirling_bruteforce_matches_unpruned_walk():
+    for size in range(10):
+        for r in range(size + 1):
+            n = size - r
+            for k in range(-1, n + 2):
+                assert rstirling_bruteforce(n, k, r) == reference_rstirling_bruteforce(n, k, r), (n, k, r)
+
+
+def test_negative_n_is_rejected():
+    for call in (lambda: bell(-1), lambda: dowling_poly(-1), lambda: dowling_poly(-3, 1, 1)):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            call()
+
+
 def test_sf_rows():
     assert [sf_numbers(2, k) for k in (0, 1, 2)] == [
         (M - 1) ** 2,
@@ -242,6 +282,41 @@ def test_rook_numbers_match_column_recurrence():
                 expected[k] + (h - k + 1) * expected[k - 1] for k in range(1, len(expected))
             ]
         assert rook_numbers(FerrersBoard(tuple(heights))) == expected, heights
+
+
+def reference_rook_numbers(heights):
+    """The walk before it read free rows off a mask: every row of every
+    column is tested against the used rows."""
+    n = len(heights)
+    counts = [0] * (n + 1)
+    stack = [(0, 0, 0)]
+    while stack:
+        col, used, placed = stack.pop()
+        if col == n:
+            counts[placed] += 1
+            continue
+        last = col + 1 == n
+        if last:
+            counts[placed] += 1
+        else:
+            stack.append((col + 1, used, placed))
+        for row in range(heights[col]):
+            if not used >> row & 1:
+                if last:
+                    counts[placed + 1] += 1
+                else:
+                    stack.append((col + 1, used | 1 << row, placed + 1))
+    return counts
+
+
+def test_rook_numbers_match_row_by_row_walk():
+    # every nondecreasing board of at most 6 columns with heights <= 6
+    boards = [()]
+    for columns in range(1, 7):
+        boards += itertools.combinations_with_replacement(range(7), columns)
+    assert len(boards) == 1716
+    for heights in boards:
+        assert rook_numbers(FerrersBoard(heights)) == reference_rook_numbers(heights), heights
 
 
 def test_staircase_boards():

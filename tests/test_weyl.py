@@ -178,6 +178,28 @@ def test_contraction_stats_examples():
     )
 
 
+def reference_contraction_stats(contraction):
+    """The statistics before they were read off the edges: a set of
+    matched vertices and a scan of every position per colour."""
+    word = contraction.word
+    matched = {v for edge in contraction.edges for v in edge}
+    adjacent = sum(1 for i, j in contraction.edges if j == i + 1)
+    degree0_black = sum(
+        1 for p in range(1, len(word) + 1) if word.letter(p) == "c" and p not in matched
+    )
+    degree0_white = sum(
+        1 for p in range(1, len(word) + 1) if word.letter(p) == "a" and p not in matched
+    )
+    return ContractionStats(len(contraction.edges), adjacent, degree0_black, degree0_white)
+
+
+def test_contraction_stats_match_positionwise_count():
+    for length in range(9):
+        for word in all_words(length):
+            for c in enumerate_contractions(word):
+                assert contraction_stats(c) == reference_contraction_stats(c), c
+
+
 def test_wick_sum_examples():
     assert wick_sum(WeylWord.ca_power(2)) == NormalForm({(2, 2): 1, (1, 1): 1})
     assert wick_sum(WeylWord("ac")) == NormalForm({(1, 1): 1, (0, 0): 1})
