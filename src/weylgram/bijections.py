@@ -7,39 +7,63 @@ vertices to the left" are always counted nearest-first: connecting
 black 2j-1 to its k-th nearest unused white leaves exactly k-1 unused
 whites strictly between the endpoints, which is the edge label used by
 the inverse direction.
+
+Both directions trust their argument: a Contraction or GenSequence has
+been checked by its public constructor, or was built by the program and
+is valid by construction.  The objects built here go through the private
+``_trusted`` builders and are not checked again; the property tests in
+tests/test_bijection_properties.py check that each of them passes its
+validating public constructor unchanged.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .grammar import GenSequence, P_FAMILY, STIRLING_FAMILY, growth_sequences
 from .weyl import Contraction, WeylWord
 
+# The entry that leaves a black vertex isolated; an adjacent edge takes
+# the other one of 1 and 2.
+_ISOLATED = {STIRLING_FAMILY: 1, P_FAMILY: 2}
+
+# The contractions built from sequences of one length share one word, so
+# the word is not rebuilt per contraction.
+_ca_word = lru_cache(maxsize=64)(WeylWord.ca_power)
+
 
 def _require_ca_word(contraction: Contraction) -> int:
+    # n non-overlapping "ca" tile a word of 2n letters only if it is (ca)^n.
     letters = contraction.word.letters
-    n, rem = divmod(len(letters), 2)
-    if rem or letters != "ca" * n:
+    n = letters.count("ca")
+    if 2 * n != len(letters):
         raise ValueError(f"word not of (ca)^n shape: {letters!r}")
     if n == 0:
         raise ValueError("the empty word has no generation sequence (need (ca)^n with n >= 1)")
     return n
 
 
-def _contraction_by_ranks(ranks: list[int]) -> Contraction:
-    """Contraction of (ca)^len(ranks) built left to right: rank 0 leaves
-    the j-th black vertex isolated, rank k >= 1 joins it to its k-th
-    nearest unused white vertex.  The unused whites left of the current
-    black vertex are kept in rising order, so the k-th nearest is the
-    k-th from the end; the growth bound of a GenSequence guarantees that
-    it exists."""
-    unused: list[int] = []
-    edges: list[tuple[int, int]] = []
-    for j, rank in enumerate(ranks):
-        black = 2 * j + 1
-        if rank:
-            edges.append((unused.pop(-rank), black))
-        unused.append(black + 1)
-    return Contraction(WeylWord.ca_power(len(ranks)), tuple(edges))
+def _contraction_of(s: GenSequence) -> Contraction:
+    """Contraction of (ca)^len(s) built left to right: the family's
+    isolated entry at index j (from 0) leaves black vertex 2j+1
+    isolated, any other entry k joins it to its max(k-1, 1)-st nearest
+    unused white vertex.  The
+    first entry, always 1, leaves the first black vertex isolated.
+
+    The unused whites are kept in rising order.  Those left of black
+    2j+1 are the first j - (edges so far) of them, so the k-th nearest
+    sits k places before that end; the growth bound of a GenSequence
+    guarantees that it exists.  The edges come by rising black and are
+    sorted once, by white, at the end."""
+    isolated = _ISOLATED[s.family]
+    entries = s.entries
+    whites = list(range(2, 2 * len(entries) + 1, 2))
+    edges = []
+    for j, k in enumerate(entries):
+        if k != isolated and j:
+            edges.append((whites.pop(j - len(edges) - (k - 1 or 1)), 2 * j + 1))
+    edges.sort()
+    return Contraction._trusted(_ca_word(len(entries)), tuple(edges))
 
 
 def seq_to_contraction_stirling(s: GenSequence) -> Contraction:
@@ -48,7 +72,7 @@ def seq_to_contraction_stirling(s: GenSequence) -> Contraction:
     unused white vertex."""
     if s.family != STIRLING_FAMILY:
         raise ValueError("sequence is not in the plain family")
-    return _contraction_by_ranks([0 if entry == 1 else entry - 1 for entry in s.entries])
+    return _contraction_of(s)
 
 
 def seq_to_contraction_p(s: GenSequence) -> Contraction:
@@ -57,40 +81,39 @@ def seq_to_contraction_p(s: GenSequence) -> Contraction:
     edge), entry k >= 3 joins it to the (k-1)-st nearest unused white."""
     if s.family != P_FAMILY:
         raise ValueError("sequence is not in the weighted family")
-    ranks = [0 if entry == 2 else 1 if entry == 1 else entry - 1 for entry in s.entries[1:]]
-    return _contraction_by_ranks([0] + ranks)
+    return _contraction_of(s)
 
 
-def _edge_labels(contraction: Contraction) -> dict[int, int]:
-    """Label the edge at each black vertex by the number of white
-    vertices strictly between its endpoints that are not used by any
-    earlier black vertex.
+def _sequence_of(c: Contraction, family: str) -> GenSequence:
+    """The family's sequence of a contraction of (ca)^n.  Each edge is
+    labelled by the number of white vertices strictly between its
+    endpoints that no earlier black vertex uses; the entry at its black
+    vertex is label + 2, or the adjacent-edge entry for label 0.
 
-    One sweep by rising black vertex keeps the whites used so far in a
-    bitmask; all of them lie left of the current black vertex, so those
-    right of the edge's white are exactly the used ones between."""
-    labels: dict[int, int] = {}
-    used = 0
-    for black, white in sorted((b, w) for w, b in contraction.edges):
-        labels[black] = (black - 1 - white) // 2 - (used >> white).bit_count()
-        used |= 1 << white
-    return labels
+    A white w' between the endpoints (w, b) is used by an earlier black
+    exactly when its edge (w', b') nests inside, b' < b.  So one sweep of
+    the edges, sorted by white, from the last one back keeps the blacks
+    of the edges seen so far (all with a later white) in a bitmask and
+    subtracts those below b; nothing is sorted."""
+    isolated = _ISOLATED[family]
+    adjacent = 3 - isolated
+    entries = [1] + [isolated] * (_require_ca_word(c) - 1)
+    later = 0
+    for white, black in reversed(c.edges):
+        label = (black - 1 - white) // 2 - (later & ((1 << black) - 1)).bit_count()
+        entries[black // 2] = label + 2 if label else adjacent
+        later |= 1 << black
+    return GenSequence._trusted(tuple(entries), family)
 
 
 def contraction_to_seq_stirling(c: Contraction) -> GenSequence:
     """Inverse of seq_to_contraction_stirling."""
-    entries = [1] * _require_ca_word(c)
-    for black, label in _edge_labels(c).items():
-        entries[black // 2] = label + 2
-    return GenSequence(tuple(entries), STIRLING_FAMILY)
+    return _sequence_of(c, STIRLING_FAMILY)
 
 
 def contraction_to_seq_p(c: Contraction) -> GenSequence:
     """Inverse of seq_to_contraction_p."""
-    entries = [1] + [2] * (_require_ca_word(c) - 1)
-    for black, label in _edge_labels(c).items():
-        entries[black // 2] = label + 2 if label else 1
-    return GenSequence(tuple(entries), P_FAMILY)
+    return _sequence_of(c, P_FAMILY)
 
 
 # The paper's names for the two restricted-growth families.

@@ -234,7 +234,14 @@ def growth_sequences(family: str, length: int, offset: int = 0) -> list[tuple[in
 @dataclass(frozen=True)
 class GenSequence:
     """A generation sequence s_1..s_d with its growth bound checked:
-    s_1 = 1 and 1 <= s_j <= growth_bound(family, #1s, #2s before j)."""
+    s_1 = 1 and 1 <= s_j <= growth_bound(family, #1s, #2s before j).
+
+    The public constructor is the boundary and checks every input.  The
+    sequences the program builds itself (from ``growth_sequences`` and
+    the bijections) are valid by construction and go through the private
+    ``_trusted`` builder, which checks nothing;
+    tests/test_bijection_properties.py checks that each of them passes
+    the public constructor unchanged."""
 
     entries: tuple[int, ...]
     family: str
@@ -251,6 +258,15 @@ class GenSequence:
                 raise ValueError(f"entry {s} at position {j + 1} violates the {bound} bound")
             ones += s == 1
             twos += s == 2
+
+    @classmethod
+    def _trusted(cls, entries: tuple[int, ...], family: str) -> "GenSequence":
+        """A sequence that the caller guarantees to be of the family."""
+        self = object.__new__(cls)
+        fields = self.__dict__
+        fields["entries"] = entries
+        fields["family"] = family
+        return self
 
     def __str__(self) -> str:
         return ",".join(str(s) for s in self.entries)
@@ -305,7 +321,7 @@ def enumerate_generations(
         # letter fewer to pick than from x*y, so the bound is one tighter.
         return [
             GenerationRecord(
-                GenSequence(seq, family),
+                GenSequence._trusted(seq, family),
                 monomial({x_name: 1, y_name: y0 + seq.count(1) - 1}),
                 Polynomial.one(),
             )
@@ -322,7 +338,7 @@ def enumerate_generations(
         # Each 2 adds a y letter; each 1 after the first takes the p-branch.
         return [
             GenerationRecord(
-                GenSequence(seq, family),
+                GenSequence._trusted(seq, family),
                 monomial({x_name: 1, y_name: seq.count(2)}),
                 p ** (seq.count(1) - 1),
             )

@@ -301,13 +301,13 @@ def verify_bijections(max_n: int = SUITES["bijections"].default, count_max_n: in
         ]
         report.check(f"round-trip-weighted/(ca)^{length}", 0, len(bad))
 
-        seqs = [GenSequence(s, STIRLING_FAMILY) for s in growth_sequences(STIRLING_FAMILY, length)]
+        seqs = [GenSequence._trusted(s, STIRLING_FAMILY) for s in growth_sequences(STIRLING_FAMILY, length)]
         bad_seqs = [
             s for s in seqs
             if bijections.contraction_to_seq_stirling(bijections.seq_to_contraction_stirling(s)) != s
         ]
         report.check(f"round-trip-plain-sequences/len={length}", 0, len(bad_seqs))
-        seqs = [GenSequence(s, P_FAMILY) for s in growth_sequences(P_FAMILY, length)]
+        seqs = [GenSequence._trusted(s, P_FAMILY) for s in growth_sequences(P_FAMILY, length)]
         bad_seqs = [
             s for s in seqs
             if bijections.contraction_to_seq_p(bijections.seq_to_contraction_p(s)) != s

@@ -10,6 +10,14 @@ and summation over contractions (``wick_sum``, counting them by number
 of edges); their agreement is a core verification target.
 ``normal_order_p`` weighs each contracted adjacent pair by a symbol p.
 
+``WeylWord(...)`` and ``Contraction(...)`` are the boundary: they check
+every input, from the CLI or from a library caller.  The words and
+contractions that this module builds itself (``WeylWord.ca_power``,
+``all_words``, ``enumerate_contractions``) are valid by construction and
+go through each class's private ``_trusted`` builder, which checks
+nothing; tests/test_weyl_properties.py checks that every one of them
+passes the public constructor unchanged.
+
 ``enumerate_contractions``, ``wick_sum`` and ``normal_order_p`` share one
 walker, ``_contraction_nodes``.  Each node it yields carries a
 contraction's sorted edges, its edge count and its adjacent-edge count,
@@ -42,6 +50,17 @@ class WeylWord:
     def __post_init__(self):
         if set(self.letters) - {ANNIHILATION, CREATION}:
             raise ValueError(f"word letters must be 'a' or 'c': {self.letters!r}")
+
+    @classmethod
+    def _trusted(cls, letters: str) -> "WeylWord":
+        """A word whose letters the caller guarantees to be in {a, c}.
+
+        The fields go straight into the instance dict, where the frozen
+        dataclass's __init__ would put them, and __post_init__ is skipped;
+        Contraction._trusted and GenSequence._trusted do the same."""
+        self = object.__new__(cls)
+        self.__dict__["letters"] = letters
+        return self
 
     @staticmethod
     def parse(text: str) -> "WeylWord":
@@ -79,7 +98,7 @@ class WeylWord:
     @staticmethod
     def ca_power(n: int) -> "WeylWord":
         """(creation annihilation)^n, the number-operator word."""
-        return WeylWord("ca" * n)
+        return WeylWord._trusted("ca" * n)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -175,6 +194,16 @@ class Contraction:
                 raise ValueError(f"vertex reused by edge ({i},{j})")
             seen |= ends
 
+    @classmethod
+    def _trusted(cls, word: WeylWord, edges: tuple[tuple[int, int], ...]) -> "Contraction":
+        """A contraction whose edges the caller guarantees to be sorted,
+        disjoint and each from an 'a' to a later 'c' of the word."""
+        self = object.__new__(cls)
+        fields = self.__dict__
+        fields["word"] = word
+        fields["edges"] = edges
+        return self
+
     def __str__(self) -> str:
         edge_text = ",".join(f"({i},{j})" for i, j in self.edges)
         return f"{self.word}; edges={edge_text}"
@@ -225,7 +254,8 @@ def _contraction_nodes(letters: str) -> Iterator[_Node]:
 def enumerate_contractions(word: WeylWord) -> list[Contraction]:
     """All contractions of a word, null contraction included, ordered
     lexicographically by their sorted edge lists."""
-    return [Contraction(word, node[0]) for node in _contraction_nodes(word.letters)]
+    build = Contraction._trusted
+    return [build(word, node[0]) for node in _contraction_nodes(word.letters)]
 
 
 def contraction_stats(contraction: Contraction) -> ContractionStats:
@@ -309,11 +339,11 @@ def nf_multiply(a: NormalForm, b: NormalForm) -> NormalForm:
 def all_words(length: int) -> Iterable[WeylWord]:
     """All 2^length words of the given length, in lexicographic order."""
     if length == 0:
-        yield WeylWord("")
+        yield WeylWord._trusted("")
         return
     for bits in range(2**length):
         letters = "".join(
             CREATION if (bits >> (length - 1 - pos)) & 1 else ANNIHILATION
             for pos in range(length)
         )
-        yield WeylWord(letters)
+        yield WeylWord._trusted(letters)

@@ -1,5 +1,9 @@
 """Property tests: both contraction <-> sequence bijections round-trip
-on random generation sequences of up to 9 entries."""
+on random generation sequences of up to 9 entries.
+
+The contractions and sequences the program builds itself skip the checks
+of the public constructors; here each one that the bijections and
+enumerate_generations return must pass those checks unchanged."""
 
 import pytest
 
@@ -12,7 +16,20 @@ from weylgram.bijections import (
     seq_to_contraction_p,
     seq_to_contraction_stirling,
 )
-from weylgram.grammar import GenSequence, P_FAMILY, STIRLING_FAMILY, growth_bound
+from weylgram.grammar import (
+    P_FAMILY,
+    STIRLING_FAMILY,
+    GenSequence,
+    enumerate_generations,
+    growth_bound,
+    parse_grammar,
+)
+from weylgram.ring import monomial
+from weylgram.weyl import WeylWord, enumerate_contractions
+from test_weyl_properties import assert_passes_the_constructors
+
+STIRLING = parse_grammar("x -> x*y; y -> y")
+WEIGHTED = parse_grammar("x -> p*x + x*y; y -> y")
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
@@ -37,3 +54,46 @@ def test_plain_bijection_round_trips(s):
 @given(sequences(P_FAMILY))
 def test_weighted_bijection_round_trips(s):
     assert contraction_to_seq_p(seq_to_contraction_p(s)) == s
+
+
+def assert_sequence_passes_the_constructor(s):
+    assert GenSequence(s.entries, s.family) == s
+
+
+BIJECTIONS = [
+    (STIRLING_FAMILY, contraction_to_seq_stirling, seq_to_contraction_stirling),
+    (P_FAMILY, contraction_to_seq_p, seq_to_contraction_p),
+]
+
+
+@pytest.mark.parametrize("family, to_seq, to_contraction", BIJECTIONS)
+@PROPERTY
+@given(data=st.data())
+def test_bijection_outputs_of_random_sequences_are_valid(family, to_seq, to_contraction, data):
+    s = data.draw(sequences(family))
+    contraction = to_contraction(s)
+    assert_passes_the_constructors(contraction)
+    assert_sequence_passes_the_constructor(to_seq(contraction))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("family, to_seq, to_contraction", BIJECTIONS)
+def test_bijection_outputs_on_every_contraction_are_valid(family, to_seq, to_contraction, n):
+    for contraction in enumerate_contractions(WeylWord.ca_power(n)):
+        s = to_seq(contraction)
+        assert_sequence_passes_the_constructor(s)
+        assert_passes_the_constructors(to_contraction(s))
+
+
+@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize(
+    "grammar, start, family",
+    [
+        (STIRLING, {"x": 1}, STIRLING_FAMILY),
+        (STIRLING, {"x": 1, "y": 1}, STIRLING_FAMILY),
+        (WEIGHTED, {"x": 1}, P_FAMILY),
+    ],
+)
+def test_generation_sequences_are_valid(grammar, start, family, n):
+    for record in enumerate_generations(grammar, monomial(start), n, family):
+        assert_sequence_passes_the_constructor(record.sequence)

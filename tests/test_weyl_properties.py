@@ -1,7 +1,11 @@
 """Property tests: the normal-ordering routes agree on random words.
 
 Rewriting, the Wick sum, the p-form at p = 1 and the rook numbers of the
-word's Ferrers board (Varvak) are independent routes to the same counts."""
+word's Ferrers board (Varvak) are independent routes to the same counts.
+
+The words and contractions the program builds itself skip the checks of
+the public constructors; here each of them must pass those checks
+unchanged, with its edges already sorted."""
 
 import pytest
 
@@ -9,7 +13,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from weylgram.numbers import FerrersBoard, rook_numbers
-from weylgram.weyl import WeylWord, enumerate_contractions, normal_order, normal_order_p, wick_sum
+from weylgram.weyl import (
+    Contraction,
+    WeylWord,
+    all_words,
+    enumerate_contractions,
+    normal_order,
+    normal_order_p,
+    wick_sum,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
@@ -43,3 +55,28 @@ def test_p_form_at_one_equals_rewriting(word):
 @given(words)
 def test_contractions_are_the_rook_placements_of_the_varvak_board(word):
     assert len(enumerate_contractions(word)) == sum(rook_numbers(varvak_board(word)))
+
+
+def assert_passes_the_constructors(contraction):
+    assert list(contraction.edges) == sorted(contraction.edges)
+    assert WeylWord(contraction.word.letters) == contraction.word
+    assert Contraction(contraction.word, contraction.edges) == contraction
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_every_contraction_of_a_ca_power_is_valid(n):
+    for contraction in enumerate_contractions(WeylWord.ca_power(n)):
+        assert_passes_the_constructors(contraction)
+
+
+@PROPERTY
+@given(words)
+def test_every_enumerated_contraction_is_valid(word):
+    for contraction in enumerate_contractions(word):
+        assert_passes_the_constructors(contraction)
+
+
+def test_every_listed_word_is_valid():
+    for length in range(7):
+        for word in all_words(length):
+            assert WeylWord(word.letters) == word
