@@ -12,6 +12,7 @@ from .ring import (
     from_falling_factorial_basis,
     monomial,
     parse_polynomial,
+    poly_sum,
     sym,
     to_falling_factorial_basis,
 )
@@ -59,6 +60,7 @@ __all__ = [
     "from_falling_factorial_basis",
     "monomial",
     "parse_polynomial",
+    "poly_sum",
     "sym",
     "to_falling_factorial_basis",
     "GenSequence",

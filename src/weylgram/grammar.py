@@ -44,6 +44,7 @@ from .ring import (
     _from_clean,
     monomial,
     monomial_degree,
+    poly_sum,
     sym,
     tokenize,
 )
@@ -349,7 +350,4 @@ def enumerate_generations(
 
 def generation_sum(records: Sequence[GenerationRecord]) -> Polynomial:
     """Sum of weight * monomial over generation records."""
-    total = Polynomial.zero()
-    for rec in records:
-        total = total + rec.weight * Polynomial.from_monomial(rec.monomial)
-    return total
+    return poly_sum(rec.weight * Polynomial.from_monomial(rec.monomial) for rec in records)

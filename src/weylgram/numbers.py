@@ -24,6 +24,7 @@ from .ring import (
     Polynomial,
     coerce_polynomial,
     falling_factorial,
+    poly_sum,
     sym,
     to_falling_factorial_basis,
 )
@@ -247,10 +248,7 @@ def dowling_poly(n: int, m: ParamValue = "m", r: ParamValue = "r", var: str = "x
     if n < 0:
         raise ValueError("n must be >= 0")
     x = sym(var)
-    total = Polynomial.zero()
-    for k in range(n + 1):
-        total = total + whitney(n, k, m, r) * x**k
-    return total
+    return poly_sum(whitney(n, k, m, r) * x**k for k in range(n + 1))
 
 
 def rstirling_bruteforce(n: int, k: int, r: int) -> int:
@@ -342,19 +340,17 @@ def special_poly(family: str, n: int, var: str | None = None) -> Polynomial:
         raise ValueError("n must be >= 0")
     if family == "bessel":
         x = sym(var or "x")
-        total = Polynomial.zero()
-        for k in range(n + 1):
-            c = Fraction(factorial(n + k), factorial(n - k) * factorial(k) * 2**k)
-            if c.denominator != 1:
-                raise ArithmeticError(f"non-integral coefficient in theta_{n}")
-            total = total + x**k * Polynomial.rational(c)
-        return total
+        coeffs = [
+            Fraction(factorial(n + k), factorial(n - k) * factorial(k) * 2**k) for k in range(n + 1)
+        ]
+        if any(c.denominator != 1 for c in coeffs):
+            raise ArithmeticError(f"non-integral coefficient in theta_{n}")
+        return poly_sum(x**k * Polynomial.rational(c) for k, c in enumerate(coeffs))
     if family == "laguerre-square":
         y = sym(var or "y")
-        total = Polynomial.zero()
-        for k in range(n + 1):
-            total = total + y ** (n - k) * Polynomial.rational(factorial(k) * comb(n, k) ** 2)
-        return total
+        return poly_sum(
+            y ** (n - k) * Polynomial.rational(factorial(k) * comb(n, k) ** 2) for k in range(n + 1)
+        )
     raise ValueError(f"unknown special family {family!r}")
 
 

@@ -6,8 +6,12 @@ sorted tuple of (symbol, exponent) pairs with positive exponents; the
 empty tuple is the constant monomial 1.  Polynomials map monomials to
 nonzero exact rationals, stored as an ``int`` when integral and as a
 ``Fraction`` (denominator not 1) otherwise, so integer arithmetic never
-pays for a gcd.  Everything is immutable after construction and every
-operation is a pure function, so values can be shared freely.
+pays for a gcd.  ``_accumulate`` is the one place that keeps this stored
+form: sums, products, derivatives and substitutions each add their
+(monomial, coefficient) pairs into a term map through it, and
+``poly_sum`` adds many polynomials into one map in a single pass.
+Everything is immutable after construction and every operation is a
+pure function, so values can be shared freely.
 
 The canonical text rendering (terms in graded-lex ascending order,
 explicit ``*`` between factors, ``^`` for powers, rationals as ``a/b``)
@@ -58,6 +62,20 @@ def _coerce_coeff(value: Rational) -> Rational:
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     raise TypeError(f"not an exact rational: {value!r}")
+
+
+def _accumulate(
+    terms: dict[Monomial, Rational], pairs: Iterable[tuple[Monomial, Rational]]
+) -> dict[Monomial, Rational]:
+    """Add (monomial, coefficient) pairs into terms in place, dropping
+    zeros and storing integral values as int; returns terms."""
+    for mono, coeff in pairs:
+        acc = terms.get(mono, 0) + coeff
+        if acc:
+            terms[mono] = acc if type(acc) is int else _coerce_coeff(acc)
+        else:
+            terms.pop(mono, None)
+    return terms
 
 
 def _from_clean(terms: dict[Monomial, Rational]) -> "Polynomial":
@@ -155,14 +173,7 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial" | Rational) -> "Polynomial":
         other = coerce_polynomial(other)
-        terms = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            acc = terms.get(mono, 0) + coeff
-            if acc:
-                terms[mono] = acc if type(acc) is int else _coerce_coeff(acc)
-            else:
-                terms.pop(mono, None)
-        return _from_clean(terms)
+        return _from_clean(_accumulate(dict(self._terms), other._terms.items()))
 
     __radd__ = __add__
 
@@ -177,16 +188,12 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial" | Rational) -> "Polynomial":
         other = coerce_polynomial(other)
-        terms: dict[Monomial, Rational] = {}
-        for mono_a, coeff_a in self._terms.items():
-            for mono_b, coeff_b in other._terms.items():
-                mono = monomial_mul(mono_a, mono_b)
-                acc = terms.get(mono, 0) + coeff_a * coeff_b
-                if acc:
-                    terms[mono] = acc if type(acc) is int else _coerce_coeff(acc)
-                else:
-                    terms.pop(mono, None)
-        return _from_clean(terms)
+        pairs = (
+            (monomial_mul(mono_a, mono_b), coeff_a * coeff_b)
+            for mono_a, coeff_a in self._terms.items()
+            for mono_b, coeff_b in other._terms.items()
+        )
+        return _from_clean(_accumulate({}, pairs))
 
     __rmul__ = __mul__
 
@@ -209,37 +216,37 @@ class Polynomial:
 
     def diff(self, name: str) -> "Polynomial":
         """Formal partial derivative with respect to one symbol."""
-        terms: dict[Monomial, Rational] = {}
-        for mono, coeff in self._terms.items():
-            exps = dict(mono)
-            e = exps.get(name, 0)
-            if not e:
-                continue
-            if e == 1:
-                del exps[name]
-            else:
-                exps[name] = e - 1
-            lowered = tuple(sorted(exps.items()))
-            acc = terms.get(lowered, 0) + coeff * e
-            if acc:
-                terms[lowered] = acc if type(acc) is int else _coerce_coeff(acc)
-            else:
-                terms.pop(lowered, None)
-        return _from_clean(terms)
+
+        def lowered():
+            for mono, coeff in self._terms.items():
+                exps = dict(mono)
+                e = exps.get(name, 0)
+                if not e:
+                    continue
+                if e == 1:
+                    del exps[name]
+                else:
+                    exps[name] = e - 1
+                yield tuple(sorted(exps.items())), coeff * e
+
+        return _from_clean(_accumulate({}, lowered()))
 
     def substitute(self, name: str, value: "Polynomial" | Rational) -> "Polynomial":
         """Replace every occurrence of a symbol by a polynomial value."""
         value = coerce_polynomial(value)
-        result = Polynomial.zero()
         powers: dict[int, Polynomial] = {0: Polynomial.one()}
-        for mono, coeff in self._terms.items():
-            exps = dict(mono)
-            e = exps.pop(name, 0)
-            if e not in powers:
-                powers[e] = value**e
-            rest = Polynomial({tuple(sorted(exps.items())): coeff})
-            result = result + rest * powers[e]
-        return result
+
+        def images():
+            for mono, coeff in self._terms.items():
+                exps = dict(mono)
+                e = exps.pop(name, 0)
+                if e not in powers:
+                    powers[e] = value**e
+                rest = tuple(sorted(exps.items()))
+                for mono_v, coeff_v in powers[e]._terms.items():
+                    yield monomial_mul(rest, mono_v), coeff * coeff_v
+
+        return _from_clean(_accumulate({}, images()))
 
     # -- protocol -----------------------------------------------------
 
@@ -272,6 +279,14 @@ def coerce_polynomial(value: Polynomial | Rational) -> Polynomial:
 def sym(name: str) -> Polynomial:
     """Shorthand for the polynomial consisting of one symbol."""
     return Polynomial.symbol(name)
+
+
+def poly_sum(parts: Iterable[Polynomial]) -> Polynomial:
+    """Sum of polynomials, accumulated into one term map."""
+    terms: dict[Monomial, Rational] = {}
+    for part in parts:
+        _accumulate(terms, part._terms.items())
+    return _from_clean(terms)
 
 
 # -- rendering ---------------------------------------------------------
@@ -511,10 +526,7 @@ def _divide_linear(p: Polynomial, name: str, root: int) -> Polynomial:
     if not remainder.is_zero():
         raise ValueError(f"nonzero remainder dividing by ({name} - {root})")
     var = Polynomial.symbol(name)
-    result = Polynomial.zero()
-    for e, coeff in quotient.items():
-        result = result + coeff * var**e
-    return result
+    return poly_sum(coeff * var**e for e, coeff in quotient.items())
 
 
 def to_falling_factorial_basis(p: Polynomial, name: str) -> list[Polynomial]:
@@ -539,10 +551,9 @@ def to_falling_factorial_basis(p: Polynomial, name: str) -> list[Polynomial]:
 
 def from_falling_factorial_basis(coeffs: Iterable[Polynomial | Rational], name: str) -> Polynomial:
     var = Polynomial.symbol(name)
-    result = Polynomial.zero()
-    for k, c in enumerate(coeffs):
-        result = result + coerce_polynomial(c) * falling_factorial(var, k)
-    return result
+    return poly_sum(
+        coerce_polynomial(c) * falling_factorial(var, k) for k, c in enumerate(coeffs)
+    )
 
 
 # -- truncated power series ----------------------------------------------
@@ -615,14 +626,11 @@ class TruncatedSeries:
             return self.scale(other)
         self._check_compatible(other)
         order = min(self.order, other.order)
-        coeffs = [Polynomial.zero() for _ in range(order + 1)]
-        for i, a in enumerate(self.coefficients[: order + 1]):
-            if a.is_zero():
-                continue
-            for j in range(order + 1 - i):
-                b = other.coefficients[j]
-                if not b.is_zero():
-                    coeffs[i + j] = coeffs[i + j] + a * b
+        a, b = self.coefficients, other.coefficients
+        coeffs = [
+            poly_sum(a[i] * b[n - i] for i in range(n + 1) if a[i] and b[n - i])
+            for n in range(order + 1)
+        ]
         return TruncatedSeries(self.variable, coeffs)
 
     __rmul__ = __mul__
@@ -635,13 +643,10 @@ class TruncatedSeries:
         """Exponential of a series with zero constant term, same order."""
         if not self.coefficients[0].is_zero():
             raise ValueError("series exponential needs zero constant term")
+        a = self.coefficients
         coeffs = [Polynomial.one()]
         for n in range(1, self.order + 1):
-            acc = Polynomial.zero()
-            for k in range(1, n + 1):
-                a = self.coefficients[k] if k <= self.order else Polynomial.zero()
-                if not a.is_zero():
-                    acc = acc + a.scale(k) * coeffs[n - k]
+            acc = poly_sum(a[k].scale(k) * coeffs[n - k] for k in range(1, n + 1) if a[k])
             coeffs.append(acc.scale(Fraction(1, n)))
         return TruncatedSeries(self.variable, coeffs)
 

@@ -31,7 +31,7 @@ from .grammar import (
     growth_sequences,
     shift_apply,
 )
-from .ring import Polynomial, TruncatedSeries, monomial, sym
+from .ring import Polynomial, TruncatedSeries, falling_factorial, monomial, poly_sum, sym
 
 X = sym("x")
 Y = sym("y")
@@ -113,7 +113,7 @@ class Suite:
     cap: int
 
 
-# Every suite, in the order `verify_all` and `verify --suite all` run them.
+# Every suite, in the order `verify --suite all` runs them.
 SUITES: dict[str, Suite] = {
     "grammar": Suite("verify_grammar_theorems", "max_n", 8, 1, 10),
     "weyl": Suite("verify_weyl", "max_n", 8, 1, 10),
@@ -139,10 +139,7 @@ def _csv(values) -> str:
 
 def _row_polynomial(values: Sequence[Polynomial | int], offset: int = 0) -> Polynomial:
     """sum values[i] * y^(offset+i), the standard row-as-polynomial form."""
-    total = Polynomial.zero()
-    for i, value in enumerate(values):
-        total = total + Y ** (offset + i) * value
-    return total
+    return poly_sum(Y ** (offset + i) * value for i, value in enumerate(values))
 
 
 def _g_shifted(t: int) -> Grammar:
@@ -214,18 +211,12 @@ def verify_grammar_theorems(max_n: int = SUITES["grammar"].default, max_r: int =
         report.check(f"bessel/n={n}", expected, derive_n(bessel, X, n))
 
     for n in range(1, max_n + 1):
-        expected = X * sum(
-            (X**k * Y ** (n - k) * numbers.eulerian(n, k) for k in range(n)),
-            Polynomial.zero(),
-        )
+        expected = X * poly_sum(X**k * Y ** (n - k) * numbers.eulerian(n, k) for k in range(n))
         report.check(f"eulerian-rows/n={n}", expected, derive_n(EULERIAN_GRAMMAR, X, n))
 
     for n in range(1, min(max_n, max(numbers.SECOND_ORDER_EULERIAN_ROWS)) + 1):
         row = numbers.SECOND_ORDER_EULERIAN_ROWS[n]
-        expected = sum(
-            (X ** (2 * n - k) * Y ** (k + 1) * row[k] for k in range(len(row))),
-            Polynomial.zero(),
-        )
+        expected = poly_sum(X ** (2 * n - k) * Y ** (k + 1) * row[k] for k in range(len(row)))
         report.check(f"second-order-eulerian/n={n}", expected, derive_n(SECOND_ORDER_GRAMMAR, X, n))
 
     return report
@@ -283,11 +274,14 @@ def verify_bijections(max_n: int = SUITES["bijections"].default, count_max_n: in
     """Round trips, statistic transport, multiset agreement, and the
     restricted-growth counting corollaries."""
     report = Report("bijections", {"max_n": max_n, "count_max_n": count_max_n})
+    # The contractions of each (ca)^length, built once and read by the
+    # round-trip, sequence-table, transport and multiset checks.
+    contractions_of = {
+        length: weyl.enumerate_contractions(weyl.WeylWord.ca_power(length))
+        for length in range(1, max_n + 2)
+    }
 
-    for length in range(1, max_n + 2):
-        word = weyl.WeylWord.ca_power(length)
-        contractions = weyl.enumerate_contractions(word)
-
+    for length, contractions in contractions_of.items():
         bad = [
             c
             for c in contractions
@@ -316,19 +310,16 @@ def verify_bijections(max_n: int = SUITES["bijections"].default, count_max_n: in
 
     if max_n >= 3:
         recovered = tuple(
-            sorted(
-                bijections.contraction_to_seq_p(c).entries
-                for c in weyl.enumerate_contractions(weyl.WeylWord.ca_power(4))
-            )
+            sorted(bijections.contraction_to_seq_p(c).entries for c in contractions_of[4])
         )
         report.check("sequence-table/(ca)^4", _WEIGHTED_SEQUENCES_LEN4, recovered)
 
     # Transport: the sequence of a contraction generates p^(adjacent
     # edges) * x * y^(isolated creation vertices beyond the leftmost one,
     # which is isolated in every contraction of (ca)^n).
-    for length in range(1, max_n + 2):
+    for length, contractions in contractions_of.items():
         mismatches = 0
-        for contraction in weyl.enumerate_contractions(weyl.WeylWord.ca_power(length)):
+        for contraction in contractions:
             stats = weyl.contraction_stats(contraction)
             seq = bijections.contraction_to_seq_p(contraction)
             ones = seq.entries.count(1) - 1  # s_1 = 1
@@ -344,7 +335,7 @@ def verify_bijections(max_n: int = SUITES["bijections"].default, count_max_n: in
         from_sequences = sorted(str(Polynomial.from_monomial(r.monomial)) for r in records)
         from_contractions = sorted(
             str(X * Y ** (weyl.contraction_stats(c).degree0_black_count))
-            for c in weyl.enumerate_contractions(weyl.WeylWord.ca_power(n + 1))
+            for c in contractions_of[n + 1]
         )
         report.check(f"multiset-agreement/n={n}", from_sequences, from_contractions)
         report.check(
@@ -446,9 +437,9 @@ def verify_identities(max_n: int = SUITES["identities"].default, seed: int = 202
         product = Polynomial.one()
         for i in range(n):
             product = product * (x + q**i)
-        expansion = Polynomial.zero()
-        for k in range(1, n + 1):
-            expansion = expansion + numbers.q_stirling(n, k) * _falling_shifted(x, k)
+        expansion = poly_sum(
+            numbers.q_stirling(n, k) * falling_factorial(x + 1, k) for k in range(1, n + 1)
+        )
         report.check(f"q-defining-relation/n={n}", product, expansion)
 
     for m in range(1, 4):
@@ -477,12 +468,8 @@ def verify_identities(max_n: int = SUITES["identities"].default, seed: int = 202
 
     for n in range(0, max_n + 1):
         lhs = numbers.dowling_poly(n + 1)
-        rhs = sym("r") * numbers.dowling_poly(n) + x * sum(
-            (
-                numbers.dowling_poly(k) * comb(n, k) * sym("m") ** (n - k)
-                for k in range(n + 1)
-            ),
-            Polynomial.zero(),
+        rhs = sym("r") * numbers.dowling_poly(n) + x * poly_sum(
+            numbers.dowling_poly(k) * comb(n, k) * sym("m") ** (n - k) for k in range(n + 1)
         )
         report.check(f"dowling-binomial-recurrence/n={n}", lhs, rhs)
         d_prev = numbers.dowling_poly(n)
@@ -573,12 +560,9 @@ def verify_identities(max_n: int = SUITES["identities"].default, seed: int = 202
             v = _random_polynomial(rng)
             for n in range(0, 6):
                 lhs = derive_n(grammar, u * v, n)
-                rhs = sum(
-                    (
-                        derive_n(grammar, u, k) * derive_n(grammar, v, n - k) * comb(n, k)
-                        for k in range(n + 1)
-                    ),
-                    Polynomial.zero(),
+                rhs = poly_sum(
+                    derive_n(grammar, u, k) * derive_n(grammar, v, n - k) * comb(n, k)
+                    for k in range(n + 1)
                 )
                 if lhs != rhs:
                     mismatch += 1
@@ -587,21 +571,13 @@ def verify_identities(max_n: int = SUITES["identities"].default, seed: int = 202
     return report
 
 
-def _falling_shifted(x: Polynomial, k: int) -> Polynomial:
-    """(x+1) * x * (x-1) * ... — the falling factorial of x+1, length k."""
-    result = Polynomial.one()
-    for i in range(k):
-        result = result * (x + 1 - i)
-    return result
-
-
 def _random_polynomial(rng: random.Random) -> Polynomial:
-    terms = Polynomial.zero()
-    for _ in range(rng.randint(1, 4)):
-        coeff = rng.randint(-3, 3)
-        e_x, e_y = rng.randint(0, 3), rng.randint(0, 3)
-        terms = terms + X**e_x * Y**e_y * coeff
-    return terms
+    # Operands evaluate left to right: each term draws its coefficient,
+    # then the exponents of x and y.
+    return poly_sum(
+        rng.randint(-3, 3) * X ** rng.randint(0, 3) * Y ** rng.randint(0, 3)
+        for _ in range(rng.randint(1, 4))
+    )
 
 
 def verify_rook(max_n: int = SUITES["rook"].default, b_max_n: int = 5) -> Report:
@@ -657,18 +633,3 @@ def verify_rook(max_n: int = SUITES["rook"].default, b_max_n: int = 5) -> Report
             f"coefficients of {poly}{note}",
         )
     return report
-
-
-def verify_all(
-    max_n: int | None = None,
-    max_len: int | None = None,
-    bijection_max_n: int | None = None,
-    rook_max_n: int | None = None,
-    order: int | None = None,
-) -> list[Report]:
-    """Run every suite in table order.  A budget left as None takes the
-    suite's default from SUITES; max_n goes to each suite without its own
-    budget here, and max_len to the weyl suite."""
-    budgets = {"bijections": bijection_max_n, "rook": rook_max_n, "shift": order}
-    options = {"weyl": {} if max_len is None else {"max_len": max_len}}
-    return [run_suite(name, budgets.get(name, max_n), **options.get(name, {})) for name in SUITES]

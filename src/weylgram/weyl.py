@@ -35,7 +35,7 @@ from math import comb, factorial
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
-from .ring import Monomial, ParseError, Polynomial, monomial, render_scaled
+from .ring import Monomial, ParseError, Polynomial, monomial, poly_sum, render_scaled
 
 ANNIHILATION = "a"
 CREATION = "c"
@@ -324,16 +324,14 @@ def nf_multiply(a: NormalForm, b: NormalForm) -> NormalForm:
 
     Uses a^j c^k = sum_m m! C(j,m) C(k,m) c^(k-m) a^(j-m).
     """
-    terms: dict[tuple[int, int], Polynomial] = {}
+    parts: dict[tuple[int, int], list[Polynomial]] = {}
     for (i, j), ca in a.terms().items():
         for (k, l), cb in b.terms().items():
             coeff = ca * cb
             for m in range(min(j, k) + 1):
-                key = (i + k - m, j + l - m)
                 scale = factorial(m) * comb(j, m) * comb(k, m)
-                acc = terms.get(key, Polynomial.zero()) + coeff.scale(scale)
-                terms[key] = acc
-    return NormalForm(terms)
+                parts.setdefault((i + k - m, j + l - m), []).append(coeff.scale(scale))
+    return NormalForm({key: poly_sum(ps) for key, ps in parts.items()})
 
 
 def all_words(length: int) -> Iterable[WeylWord]:

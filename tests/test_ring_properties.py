@@ -1,5 +1,8 @@
-"""Property test: rendering a polynomial and parsing the text back gives
-the same polynomial, stored in the same form."""
+"""Property tests for polynomials: rendering and parsing back gives the
+same polynomial, poly_sum agrees with an independent sum, and the ring
+operations obey the ring laws, all results kept in stored form."""
+
+from fractions import Fraction
 
 import pytest
 
@@ -7,9 +10,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from test_grammar import assert_stored_form
-from weylgram.ring import Polynomial, monomial, parse_polynomial
+from weylgram.ring import Polynomial, monomial, parse_polynomial, poly_sum
 
 PROPERTY = settings(max_examples=200, deadline=None, database=None)
+LAWS = settings(max_examples=20, deadline=None, database=None)
 
 coefficients = st.one_of(
     st.integers(-(2**70), 2**70),
@@ -21,6 +25,13 @@ coefficients = st.one_of(
 monomials = st.dictionaries(st.sampled_from("xyp"), st.integers(0, 12), max_size=3).map(monomial)
 
 polynomials = st.dictionaries(monomials, coefficients, max_size=8).map(Polynomial)
+small_polynomials = st.dictionaries(monomials, coefficients, max_size=4).map(Polynomial)
+# Values substituted for x keep low exponents, so that x^24 stays cheap.
+values = st.dictionaries(
+    st.dictionaries(st.sampled_from("xyq"), st.integers(0, 2), max_size=2).map(monomial),
+    coefficients,
+    max_size=3,
+).map(Polynomial)
 
 
 @PROPERTY
@@ -30,3 +41,66 @@ def test_parse_inverts_render(p):
     assert back == p
     assert_stored_form(back)
 
+
+
+def fraction_sum(parts):
+    """Sum of term maps with every coefficient a Fraction, zeros dropped."""
+    total = {}
+    for p in parts:
+        for mono, c in p.terms().items():
+            total[mono] = total.get(mono, Fraction(0)) + Fraction(c)
+    return {mono: c for mono, c in total.items() if c}
+
+
+@LAWS
+@given(st.lists(small_polynomials, max_size=4))
+def test_poly_sum_matches_an_independent_sum(ps):
+    # Every other part is added back negated (it cancels to zero) and the
+    # rest are added again as two halves (so c/2 + c/2 must store c as int).
+    halves = [p.scale(Fraction(1, 2)) for p in ps[1::2]]
+    parts = ps + [-p for p in ps[::2]] + halves + halves
+    total = poly_sum(parts)
+    assert {mono: Fraction(c) for mono, c in total.terms().items()} == fraction_sum(parts)
+    assert total == poly_sum([p + p for p in ps[1::2]])
+    assert_stored_form(total)
+
+
+def test_poly_sum_cancels_and_stores_integral_sums_as_int():
+    half_x = Polynomial.from_monomial(monomial({"x": 1}), Fraction(1, 2))
+    three = Polynomial.rational(3)
+    total = poly_sum([half_x, three, half_x, -three])
+    assert dict(total.terms()) == {monomial({"x": 1}): 1}
+    assert type(total.coefficient(monomial({"x": 1}))) is int
+    assert poly_sum([]) == Polynomial.zero()
+    assert poly_sum([half_x, -half_x]).terms() == {}
+
+
+@LAWS
+@given(small_polynomials, small_polynomials, small_polynomials)
+def test_ring_laws(p, q, r):
+    assert p + q == q + p
+    assert p * q == q * p
+    assert (p + q) + r == p + (q + r)
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    for result in (p + q, p * q, p * (q + r)):
+        assert_stored_form(result)
+
+
+@LAWS
+@given(small_polynomials, small_polynomials)
+def test_diff_obeys_the_leibniz_rule(p, q):
+    product = (p * q).diff("x")
+    assert product == p.diff("x") * q + p * q.diff("x")
+    assert_stored_form(product)
+
+
+@LAWS
+@given(small_polynomials, small_polynomials, values)
+def test_substitute_is_a_ring_homomorphism(p, q, value):
+    def image(f):
+        return f.substitute("x", value)
+
+    assert image(p + q) == image(p) + image(q)
+    assert image(p * q) == image(p) * image(q)
+    assert_stored_form(image(p * q))

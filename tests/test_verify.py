@@ -5,7 +5,6 @@ import json
 from weylgram.verify import (
     CaseResult,
     Report,
-    verify_all,
     verify_bijections,
     verify_grammar_theorems,
     verify_identities,
@@ -84,19 +83,6 @@ def test_reports_are_deterministic():
     parsed = json.loads(a)
     assert parsed["suite"] == "rook"
     assert parsed["pass"] is True
-
-
-def test_verify_all_runs_every_suite():
-    reports = verify_all(max_n=3, max_len=4, bijection_max_n=2, rook_max_n=2, order=3)
-    assert [r.suite for r in reports] == [
-        "grammar",
-        "weyl",
-        "bijections",
-        "identities",
-        "rook",
-        "shift",
-    ]
-    assert all(r.passed for r in reports)
 
 
 def test_table_rendering_marks_failures():
