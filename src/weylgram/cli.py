@@ -12,7 +12,8 @@ import argparse
 import json
 import re
 import sys
-from typing import Sequence
+from dataclasses import replace
+from typing import Callable, Sequence
 
 from . import bijections, numbers, verify, weyl
 from .grammar import (
@@ -145,6 +146,19 @@ def _parse_params(pairs: Sequence[str], parser: argparse.ArgumentParser) -> dict
     return params
 
 
+def _emit(args, text: Callable[[], str], payload: Callable[[], object] | None = None, code: int = 0) -> int:
+    """Print one command's output and return its exit code.
+
+    Under --format json the output is payload() as one JSON document with
+    indent 2; otherwise it is text() with one trailing newline.  Only the
+    printed form is built.  A command without a payload renders each of
+    its formats in text().
+    """
+    out = json.dumps(payload(), indent=2) if args.format == "json" and payload else text()
+    sys.stdout.write(out if out.endswith("\n") else out + "\n")
+    return code
+
+
 def _cmd_triangle(args, parser) -> int:
     params = _parse_params(args.param, parser)
     if args.n < 1:
@@ -154,44 +168,23 @@ def _cmd_triangle(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     if args.k is not None:
-        triangle = numbers.Triangle(
-            triangle.family,
-            triangle.params,
-            tuple(entry for entry in triangle.entries if entry[1] == args.k),
-        )
-    if args.format == "csv":
-        sys.stdout.write(triangle.to_csv())
-    elif args.format == "json":
-        print(triangle.to_json())
-    else:
-        sys.stdout.write(triangle.to_plain())
-    return 0
+        triangle = replace(triangle, entries=tuple(entry for entry in triangle.entries if entry[1] == args.k))
+    return _emit(args, lambda: getattr(triangle, "to_" + args.format)())
 
 
 def _cmd_derive(args, parser) -> int:
     if args.steps < 0:
         parser.error("--steps must be >= 0")
-    grammar = _load_grammar(args)
-    start = parse_polynomial(args.start)
-    result = derive_n(grammar, start, args.steps)
-    if args.format == "json":
-        print(json.dumps({"result": str(result)}, indent=2))
-    else:
-        print(result)
-    return 0
+    result = derive_n(_load_grammar(args), parse_polynomial(args.start), args.steps)
+    return _emit(args, lambda: str(result), lambda: {"result": str(result)})
 
 
 def _cmd_derive_chain(args, parser) -> int:
     if not args.chain:
         parser.error("need at least one --chain grammar")
     grammars = [parse_grammar(text) for text in args.chain]
-    start = parse_polynomial(args.start)
-    result = derive_chain(grammars, start)
-    if args.format == "json":
-        print(json.dumps({"result": str(result)}, indent=2))
-    else:
-        print(result)
-    return 0
+    result = derive_chain(grammars, parse_polynomial(args.start))
+    return _emit(args, lambda: str(result), lambda: {"result": str(result)})
 
 
 def _cmd_normal_order(args, parser) -> int:
@@ -206,120 +199,89 @@ def _cmd_normal_order(args, parser) -> int:
             form = form.substitute(name, value)
     else:
         form = weyl.normal_order(word)
-    if args.format == "json":
-        payload = {
+    return _emit(
+        args,
+        lambda: str(form),
+        lambda: {
             "word": word.letters,
             "terms": [
                 {"creation": i, "annihilation": j, "coefficient": str(coeff)}
                 for (i, j), coeff in form.sorted_terms()
             ],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(form)
-    return 0
+        },
+    )
+
+
+def _contraction_dict(contraction: weyl.Contraction) -> dict:
+    stats = weyl.contraction_stats(contraction)
+    return {
+        "word": contraction.word.letters,
+        "edges": [list(edge) for edge in contraction.edges],
+        "stats": {
+            "edges": stats.edge_count,
+            "adjacent_edges": stats.adjacent_edge_count,
+            "degree0_creation": stats.degree0_black_count,
+            "degree0_annihilation": stats.degree0_white_count,
+        },
+    }
 
 
 def _cmd_contractions(args, parser) -> int:
-    word = weyl.WeylWord.parse(args.word)
-    contractions = weyl.enumerate_contractions(word)
-    if args.format == "json":
-        payload = []
-        for contraction in contractions:
-            stats = weyl.contraction_stats(contraction)
-            payload.append(
-                {
-                    "word": word.letters,
-                    "edges": [list(edge) for edge in contraction.edges],
-                    "stats": {
-                        "edges": stats.edge_count,
-                        "adjacent_edges": stats.adjacent_edge_count,
-                        "degree0_creation": stats.degree0_black_count,
-                        "degree0_annihilation": stats.degree0_white_count,
-                    },
-                }
-            )
-        print(json.dumps(payload, indent=2))
-    else:
-        for contraction in contractions:
-            print(contraction)
-        print(f"count={len(contractions)}")
-    return 0
-
-
-_EDGE_RE = re.compile(r"\((\d+),(\d+)\)")
+    contractions = weyl.enumerate_contractions(weyl.WeylWord.parse(args.word))
+    return _emit(
+        args,
+        lambda: "\n".join([*map(str, contractions), f"count={len(contractions)}"]),
+        lambda: [_contraction_dict(contraction) for contraction in contractions],
+    )
 
 
 def _parse_edges(text: str, parser) -> tuple[tuple[int, int], ...]:
     cleaned = text.replace(" ", "")
-    if not cleaned:
-        return ()
-    matches = list(_EDGE_RE.finditer(cleaned))
-    joined = ",".join(m.group(0) for m in matches)
-    if joined != cleaned:
+    pairs = re.findall(r"\((\d+),(\d+)\)", cleaned)
+    if ",".join(f"({i},{j})" for i, j in pairs) != cleaned:
         parser.error(f"--edges must look like '(i,j),(k,l)', got {text!r}")
-    return tuple((int(m.group(1)), int(m.group(2))) for m in matches)
+    return tuple((int(i), int(j)) for i, j in pairs)
 
 
 def _cmd_bijection(args, parser) -> int:
     if (args.seq is None) == (args.word is None):
         parser.error("give exactly one of --seq or --word (with --edges)")
+    stirling = args.family == STIRLING_FAMILY
     if args.seq is not None:
         try:
             entries = tuple(int(part) for part in args.seq.split(","))
         except ValueError:
             parser.error(f"--seq must be comma-separated integers, got {args.seq!r}")
         seq = GenSequence(entries, args.family)
-        if args.family == STIRLING_FAMILY:
+        if stirling:
             contraction = bijections.seq_to_contraction_stirling(seq)
         else:
             contraction = bijections.seq_to_contraction_p(seq)
-        if args.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "sequence": list(entries),
-                        "word": contraction.word.letters,
-                        "edges": [list(edge) for edge in contraction.edges],
-                    },
-                    indent=2,
-                )
-            )
+        shown, keys = contraction, ("sequence", "word", "edges")
+    else:
+        if args.edges is None:
+            parser.error("--word needs --edges (possibly empty) to define a contraction")
+        contraction = weyl.Contraction(weyl.WeylWord.parse(args.word), _parse_edges(args.edges, parser))
+        if stirling:
+            seq = bijections.contraction_to_seq_stirling(contraction)
         else:
-            print(contraction)
-        return 0
-    if args.edges is None:
-        parser.error("--word needs --edges (possibly empty) to define a contraction")
-    word = weyl.WeylWord.parse(args.word)
-    contraction = weyl.Contraction(word, _parse_edges(args.edges, parser))
-    if args.family == STIRLING_FAMILY:
-        seq = bijections.contraction_to_seq_stirling(contraction)
-    else:
-        seq = bijections.contraction_to_seq_p(contraction)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "word": word.letters,
-                    "edges": [list(edge) for edge in contraction.edges],
-                    "sequence": list(seq.entries),
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(seq)
-    return 0
+            seq = bijections.contraction_to_seq_p(contraction)
+        shown, keys = seq, ("word", "edges", "sequence")
+
+    def payload() -> dict:
+        edges = [list(edge) for edge in contraction.edges]
+        fields = {"sequence": list(seq.entries), "word": contraction.word.letters, "edges": edges}
+        return {key: fields[key] for key in keys}
+
+    return _emit(args, lambda: str(shown), payload)
 
 
 def _cmd_rook(args, parser) -> int:
     board = numbers.FerrersBoard.parse(args.board)
     counts = numbers.rook_numbers(board)
-    if args.format == "json":
-        print(json.dumps({"board": str(board), "rook_numbers": counts}, indent=2))
-    else:
-        print(",".join(str(c) for c in counts))
-    return 0
+    return _emit(
+        args, lambda: ",".join(map(str, counts)), lambda: {"board": str(board), "rook_numbers": counts}
+    )
 
 
 def _flag(budget: str) -> str:
@@ -347,32 +309,29 @@ def _cmd_verify(args, parser) -> int:
             flag = _flag(suite.budget)
             parser.error(f"{flag} must be between {suite.low} and {suite.cap} for the {name} suite")
     reports = [verify.run_suite(name, budgets[name]) for name in names]
-    if args.format == "json":
-        print(json.dumps([report.to_dict() for report in reports], indent=2))
-    else:
-        for report in reports:
-            print(report.table())
-        overall = all(report.passed for report in reports)
-        print(f"overall: {'PASS' if overall else 'FAIL'}")
-    return 0 if all(report.passed for report in reports) else 1
+    passed = all(report.passed for report in reports)
+    overall = f"overall: {'PASS' if passed else 'FAIL'}"
+    return _emit(
+        args,
+        lambda: "\n".join([*(report.table() for report in reports), overall]),
+        lambda: [report.to_dict() for report in reports],
+        code=0 if passed else 1,
+    )
 
 
 def _cmd_shift(args, parser) -> int:
     if args.order < 0:
         parser.error("--order must be >= 0")
-    grammar = _load_grammar(args)
-    start = parse_polynomial(args.start)
-    series = shift_apply(grammar, start, args.order)
-    if args.format == "json":
-        payload = {
+    series = shift_apply(_load_grammar(args), parse_polynomial(args.start), args.order)
+    return _emit(
+        args,
+        lambda: str(series),
+        lambda: {
             "variable": series.variable,
             "order": series.order,
             "coefficients": [str(c) for c in series.coefficients],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(series)
-    return 0
+        },
+    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:

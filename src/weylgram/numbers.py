@@ -123,17 +123,17 @@ def eulerian(n: int, k: int) -> int:
     return eulerian_m(n, k, 1)
 
 
-# A008517; frozen reference rows for checking the derivative of the
-# grammar {x -> x^2*y, y -> x^2*y}.  Row n lists k = 0..n-1.
+def _second_order_eulerian_row(n: int) -> list[int]:
+    """Row n of A008517, k = 0..n, by <<n,k>> = (k+1) <<n-1,k>> +
+    (2n-1-k) <<n-1,k-1>> (Graham-Knuth-Patashnik, eq. 6.35); for n >= 1
+    its last entry is 0."""
+    return _walk(("second-order-eulerian",), n, [1], lambda n, k: k + 1, lambda n, k: 2 * n - 1 - k)
+
+
+# Rows 1..8 of A008517, k = 0..n-1: the rows the `second-order-eulerian`
+# triangle and the grammar {x -> x^2*y, y -> x^2*y} check stop at.
 SECOND_ORDER_EULERIAN_ROWS: dict[int, tuple[int, ...]] = {
-    1: (1,),
-    2: (1, 2),
-    3: (1, 8, 6),
-    4: (1, 22, 58, 24),
-    5: (1, 52, 328, 444, 120),
-    6: (1, 114, 1452, 4400, 3708, 720),
-    7: (1, 240, 5610, 32120, 58140, 33984, 5040),
-    8: (1, 494, 19950, 195800, 644020, 785304, 341136, 40320),
+    n: tuple(_second_order_eulerian_row(n)[:n]) for n in range(1, 9)
 }
 
 

@@ -210,7 +210,12 @@ class Polynomial:
         return result
 
     def scale(self, value: Rational) -> "Polynomial":
-        return self * Polynomial.rational(value)
+        """The polynomial times a rational constant, term by term."""
+        value = _coerce_coeff(value)
+        if not value:
+            return Polynomial()
+        products = ((mono, coeff * value) for mono, coeff in self._terms.items())
+        return _from_clean({mono: c if type(c) is int else _coerce_coeff(c) for mono, c in products})
 
     # -- calculus-flavoured operations ---------------------------------
 

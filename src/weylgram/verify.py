@@ -124,12 +124,11 @@ SUITES: dict[str, Suite] = {
 }
 
 
-def run_suite(name: str, budget: int | None = None, **options) -> Report:
-    """Run one suite at a budget (its default when None); options are
-    passed on to the suite function."""
+def run_suite(name: str, budget: int | None = None) -> Report:
+    """Run one suite at a budget (its default when None)."""
     suite = SUITES[name]
     value = suite.default if budget is None else budget
-    return globals()[suite.function](**{suite.budget: value}, **options)
+    return globals()[suite.function](**{suite.budget: value})
 
 
 def _csv(values) -> str:

@@ -1,5 +1,6 @@
 """Golden corpus: each command's exit code and the sha256 of its stdout
-and stderr, run as `python -m weylgram` in a fresh interpreter.
+and stderr, run as `python -m weylgram` in a fresh interpreter.  The
+interpreters run two at a time; each entry still gets its own.
 
 The expected values in tests/golden/cli.json were recorded from an
 earlier commit, so a change that alters any byte or exit code of a
@@ -17,6 +18,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -43,17 +45,30 @@ def load_corpus():
     return json.loads(CORPUS.read_text(encoding="utf-8"))
 
 
+@pytest.fixture(scope="module")
+def results(request):
+    """{argv: future of run_command(argv)} for every entry this session
+    selected, run two at a time in corpus order."""
+    argvs = [
+        tuple(item.callspec.params["entry"]["argv"])
+        for item in request.session.items
+        if item.originalname == "test_command_bytes_are_golden"
+    ]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        yield {argv: pool.submit(run_command, argv) for argv in argvs}
+
+
 @pytest.mark.parametrize("entry", load_corpus(), ids=lambda entry: " ".join(entry["argv"]))
-def test_command_bytes_are_golden(entry):
+def test_command_bytes_are_golden(entry, results):
     expected = (entry["exit"], entry["stdout_sha256"], entry["stderr_sha256"])
-    assert run_command(entry["argv"]) == expected
+    assert results[tuple(entry["argv"])].result() == expected
 
 
 def record():
     corpus = load_corpus()
-    for entry in corpus:
-        if "exit" not in entry:
-            code, out, err = run_command(entry["argv"])
+    new = [entry for entry in corpus if "exit" not in entry]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for entry, (code, out, err) in zip(new, pool.map(run_command, [entry["argv"] for entry in new])):
             entry.update(exit=code, stdout_sha256=out, stderr_sha256=err)
     CORPUS.write_text(json.dumps(corpus, indent=2) + "\n", encoding="utf-8")
 

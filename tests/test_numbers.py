@@ -334,16 +334,33 @@ def test_falling_factorial_identity_checks():
     assert falling_factorial_identity_check(2, 3, 2)
 
 
+# A008517 rows 1..8, k = 0..n-1, as published.
+A008517 = {
+    1: (1,),
+    2: (1, 2),
+    3: (1, 8, 6),
+    4: (1, 22, 58, 24),
+    5: (1, 52, 328, 444, 120),
+    6: (1, 114, 1452, 4400, 3708, 720),
+    7: (1, 240, 5610, 32120, 58140, 33984, 5040),
+    8: (1, 494, 19950, 195800, 644020, 785304, 341136, 40320),
+}
+
+
+def test_second_order_rows_are_computed_as_published():
+    assert SECOND_ORDER_EULERIAN_ROWS == A008517
+
+
 def test_second_order_rows_are_consistent():
-    # frozen rows satisfy the standard recurrence and row sums (2n-1)!!
+    # the published rows satisfy the standard recurrence and row sums (2n-1)!!
     for n in range(2, 9):
-        row, prev = SECOND_ORDER_EULERIAN_ROWS[n], SECOND_ORDER_EULERIAN_ROWS[n - 1]
+        row, prev = A008517[n], A008517[n - 1]
         for k in range(n):
             a = (k + 1) * prev[k] if k < len(prev) else 0
             b = (2 * n - 1 - k) * prev[k - 1] if 1 <= k <= len(prev) else 0
             assert row[k] == a + b
     double_factorials = [1, 3, 15, 105, 945, 10395, 135135, 2027025]
-    assert [sum(SECOND_ORDER_EULERIAN_ROWS[n]) for n in range(1, 9)] == double_factorials
+    assert [sum(A008517[n]) for n in range(1, 9)] == double_factorials
 
 
 def test_triangle_csv_golden():

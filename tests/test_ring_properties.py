@@ -75,6 +75,15 @@ def test_poly_sum_cancels_and_stores_integral_sums_as_int():
     assert poly_sum([half_x, -half_x]).terms() == {}
 
 
+@PROPERTY
+@given(polynomials, st.one_of(st.just(0), coefficients, st.fractions(max_denominator=6)))
+def test_scale_is_multiplying_by_a_constant(p, value):
+    # factors include 0, ints, and Fractions both integral and not
+    scaled = p.scale(value)
+    assert scaled == p * Polynomial.rational(value)
+    assert_stored_form(scaled)
+
+
 @LAWS
 @given(small_polynomials, small_polynomials, small_polynomials)
 def test_ring_laws(p, q, r):
