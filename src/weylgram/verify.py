@@ -9,11 +9,12 @@ byte-for-byte for identical inputs.
 
 from __future__ import annotations
 
-import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
+from operator import itemgetter
 from typing import Sequence
 
 from . import bijections, numbers, weyl
@@ -84,9 +85,6 @@ class Report:
             "pass": self.passed,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     def table(self) -> str:
         lines = [f"suite {self.suite} ({', '.join(f'{k}={v}' for k, v in self.params.items())})"]
         for case in self.cases:
@@ -104,16 +102,18 @@ class Report:
 class Suite:
     """One verification suite: the module-level function that runs it
     (looked up by name when it runs), the keyword its budget is passed
-    as, and the budget's default and accepted range."""
+    as, the budget's default and accepted range, and whether
+    `verify --suite all` runs it."""
 
     function: str
     budget: str
     default: int
     low: int
     cap: int
+    in_all: bool = True
 
 
-# Every suite, in the order `verify --suite all` runs them.
+# Every suite; `verify --suite all` runs those with in_all, in this order.
 SUITES: dict[str, Suite] = {
     "grammar": Suite("verify_grammar_theorems", "max_n", 8, 1, 10),
     "weyl": Suite("verify_weyl", "max_n", 8, 1, 10),
@@ -121,6 +121,7 @@ SUITES: dict[str, Suite] = {
     "identities": Suite("verify_identities", "max_n", 8, 1, 10),
     "rook": Suite("verify_rook", "max_n", 4, 1, 4),
     "shift": Suite("verify_shift", "order", 8, 0, 10),
+    "deformed": Suite("verify_deformed", "max_n", 10, 1, 12, in_all=False),
 }
 
 
@@ -245,18 +246,32 @@ def verify_weyl(max_len: int = 10, max_n: int = SUITES["weyl"].default) -> Repor
         report.check(f"deformed-rows/n={n}", expected_p, weyl.normal_order_p(word))
 
     for n in range(1, max_n + 1):
-        contractions = weyl.enumerate_contractions(weyl.WeylWord.ca_power(n))
-        by_edges: dict[int, int] = {}
-        for contraction in contractions:
-            by_edges[len(contraction.edges)] = by_edges.get(len(contraction.edges), 0) + 1
+        by_edges = Counter(map(itemgetter(1), weyl._contraction_nodes("ca" * n)))
         expected_dist = {
             e: numbers.stirling2(n, n - e) for e in range(n) if numbers.stirling2(n, n - e)
         }
-        report.check(f"contraction-count/n={n}", numbers.bell(n), len(contractions))
+        report.check(f"contraction-count/n={n}", numbers.bell(n), sum(by_edges.values()))
         report.check(
             f"contraction-edge-distribution/n={n}", expected_dist, dict(sorted(by_edges.items()))
         )
 
+    return report
+
+
+def verify_deformed(max_n: int = SUITES["deformed"].default) -> Report:
+    """The transfer-matrix tally behind ``normal_order_p`` equals the
+    contraction walker's (edges, adjacent edges) tally on every word of
+    at most max_n letters."""
+    report = Report("deformed", {"max_n": max_n})
+    for length in range(max_n + 1):
+        mismatches = [
+            word.letters
+            for word in weyl.all_words(length)
+            if weyl._deformed_tally(word.letters)
+            != Counter(map(itemgetter(1, 2), weyl._contraction_nodes(word.letters)))
+        ]
+        actual = "0 mismatches" if not mismatches else f"{len(mismatches)} mismatches (first: {mismatches[0]!r})"
+        report.check(f"transfer-equals-walker/len={length}", "0 mismatches", actual)
     return report
 
 

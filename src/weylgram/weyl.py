@@ -18,12 +18,22 @@ go through each class's private ``_trusted`` builder, which checks
 nothing; tests/test_weyl_properties.py checks that every one of them
 passes the public constructor unchanged.
 
-``enumerate_contractions``, ``wick_sum`` and ``normal_order_p`` share one
-walker, ``_contraction_nodes``.  Each node it yields carries a
-contraction's sorted edges, its edge count and its adjacent-edge count,
-so the two tallies count nodes without re-reading any edge list.  It
-builds the word's candidate edges once, as one flat list, and keeps
-O(pairs) memory besides its stack.
+``enumerate_contractions`` and ``wick_sum`` share one walker,
+``_contraction_nodes``.  Each node it yields carries a contraction's
+sorted edges, its edge count and its adjacent-edge count, so the tally
+counts nodes without re-reading any edge list.  It builds the word's
+candidate edges once, as one flat list, and keeps O(pairs) memory
+besides its stack.  Its cost grows with the number of contractions.
+
+``normal_order_p`` does not walk the contractions.  Its own route,
+``_deformed_tally``, is a transfer-matrix count (Stanley, *Enumerative
+Combinatorics I*, 4.7) over the word's letters, in polynomial time: a
+contraction is a rook placement on the word's Ferrers board (Varvak,
+"Rook numbers and the normal ordering problem", JCTA 2005), and a
+left-to-right scan can count those placements by (edges, adjacent
+edges) from a few numbers per state.  It shares no code with the walker
+or with rewriting, so the walker's tally is its oracle (the ``deformed``
+suite in verify.py).
 """
 
 from __future__ import annotations
@@ -283,12 +293,59 @@ def wick_sum(word: WeylWord) -> NormalForm:
     return NormalForm({_double_dot_key(word, e): n for e, n in counts.items()})
 
 
+def _deformed_tally(letters: str) -> dict[tuple[int, int], int]:
+    """{(edges, adjacent edges): contractions of the word with them}.
+
+    One scan over the letters.  A state is (open annihilations, edges,
+    adjacent edges), and maps to the number of partial contractions in
+    it; ``fresh`` holds the states whose previous letter is an opened
+    ``a``, ``settled`` all others.  An ``a`` stays isolated (settled) or
+    opens (fresh).  A ``c`` stays isolated or closes: on the ``a`` just
+    before it (an adjacent edge, fresh states only) or on any other open
+    ``a``.  A state with more open annihilations than creations left can
+    never close them all, so it is dropped; at the end only the states
+    with none open count.
+    """
+    left = letters.count(CREATION)
+    settled: dict[tuple[int, int, int], int] = {(0, 0, 0): 1}
+    fresh: dict[tuple[int, int, int], int] = {}
+    for letter in letters:
+        if letter == ANNIHILATION:
+            get = settled.get
+            for key, n in fresh.items():
+                settled[key] = get(key, 0) + n
+            fresh = {
+                (opened + 1, e, adjacent): n
+                for (opened, e, adjacent), n in settled.items()
+                if opened < left
+            }
+            continue
+        left -= 1
+        step = {key: n for key, n in settled.items() if key[0] <= left}
+        get = step.get
+        for (opened, e, adjacent), n in settled.items():
+            if opened:
+                key = (opened - 1, e + 1, adjacent)
+                step[key] = get(key, 0) + opened * n
+        for (opened, e, adjacent), n in fresh.items():
+            if opened <= left:
+                key = (opened, e, adjacent)
+                step[key] = get(key, 0) + n
+            key = (opened - 1, e + 1, adjacent + 1)
+            step[key] = get(key, 0) + n
+            if opened > 1:
+                key = (opened - 1, e + 1, adjacent)
+                step[key] = get(key, 0) + (opened - 1) * n
+        settled, fresh = step, {}
+    return {(e, adjacent): n for (opened, e, adjacent), n in settled.items() if not opened}
+
+
 def normal_order_p(word: WeylWord, p: str = "p") -> NormalForm:
     """Deformed normal form: each contracted adjacent pair weighs p,
-    non-adjacent pairs weigh 1."""
-    counts = Counter(map(itemgetter(1, 2), _contraction_nodes(word.letters)))
+    non-adjacent pairs weigh 1.  The contractions are counted by
+    ``_deformed_tally``, in time polynomial in the word's length."""
     terms: dict[tuple[int, int], dict[Monomial, int]] = {}
-    for (e, adjacent), n in counts.items():
+    for (e, adjacent), n in _deformed_tally(word.letters).items():
         terms.setdefault(_double_dot_key(word, e), {})[monomial({p: adjacent})] = n
     return NormalForm({key: Polynomial(weights) for key, weights in terms.items()})
 

@@ -2,9 +2,13 @@
 
 import json
 
+from weylgram import verify
+from weylgram.cli import main
 from weylgram.verify import (
+    SUITES,
     CaseResult,
     Report,
+    run_suite,
     verify_bijections,
     verify_grammar_theorems,
     verify_identities,
@@ -76,9 +80,28 @@ def test_shift_suite_passes():
     assert verify_shift(order=6).passed
 
 
+def test_deformed_suite_passes():
+    report = run_suite("deformed", 6)
+    assert report.passed
+    assert [c.case_id for c in report.cases] == [f"transfer-equals-walker/len={n}" for n in range(7)]
+
+
+def test_suite_all_skips_the_deformed_suite(monkeypatch, capsys):
+    ran = []
+    for name, suite in SUITES.items():
+        def record(name=name, **budget):
+            ran.append(name)
+            return Report(name, budget)
+        monkeypatch.setattr(verify, suite.function, record)
+    assert main(["verify", "--suite", "all"]) == 0
+    capsys.readouterr()
+    assert ran == [name for name, suite in SUITES.items() if suite.in_all]
+    assert "deformed" not in ran
+
+
 def test_reports_are_deterministic():
-    a = verify_rook(max_n=2, b_max_n=2).to_json()
-    b = verify_rook(max_n=2, b_max_n=2).to_json()
+    a = json.dumps(verify_rook(max_n=2, b_max_n=2).to_dict(), indent=2)
+    b = json.dumps(verify_rook(max_n=2, b_max_n=2).to_dict(), indent=2)
     assert a == b
     parsed = json.loads(a)
     assert parsed["suite"] == "rook"

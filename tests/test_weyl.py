@@ -14,6 +14,7 @@ from weylgram.weyl import (
     NormalForm,
     WeylWord,
     _contraction_nodes,
+    _deformed_tally,
     _rewrite_terms,
     all_words,
     contraction_stats,
@@ -107,6 +108,14 @@ def test_walker_matches_reference_on_all_short_words():
             ]
             got = [node[:3] for node in _contraction_nodes(word.letters)]
             assert got == expected, word.letters
+
+
+def test_transfer_tally_matches_walker_on_all_short_words():
+    # the walker's (edges, adjacent edges) tally is the transfer route's oracle
+    for length in range(10):
+        for word in all_words(length):
+            expected = Counter(node[1:3] for node in _contraction_nodes(word.letters))
+            assert _deformed_tally(word.letters) == expected, word.letters
 
 
 def test_walker_builds_its_candidates_in_linear_memory():
@@ -246,7 +255,8 @@ def test_deformed_rows():
     assert normal_order_p(WeylWord.ca_power(3)) == NormalForm(
         {(3, 3): 1, (2, 2): 2 * P + 1, (1, 1): P**2}
     )
-    for n in range(1, 9):
+    # (ca)^30 has Bell(30), about 8.5e23, contractions: out of the walker's reach
+    for n in range(1, 31):
         expected = NormalForm({(k, k): stirling_p(n, k) for k in range(1, n + 1)})
         assert normal_order_p(WeylWord.ca_power(n)) == expected
 

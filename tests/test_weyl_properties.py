@@ -1,11 +1,15 @@
 """Property tests: the normal-ordering routes agree on random words.
 
 Rewriting, the Wick sum, the p-form at p = 1 and the rook numbers of the
-word's Ferrers board (Varvak) are independent routes to the same counts.
+word's Ferrers board (Varvak) are independent routes to the same counts,
+and the transfer-matrix tally behind the p-form equals the contraction
+walker's.
 
 The words and contractions the program builds itself skip the checks of
 the public constructors; here each of them must pass those checks
 unchanged, with its edges already sorted."""
+
+from collections import Counter
 
 import pytest
 
@@ -16,6 +20,8 @@ from weylgram.numbers import FerrersBoard, rook_numbers
 from weylgram.weyl import (
     Contraction,
     WeylWord,
+    _contraction_nodes,
+    _deformed_tally,
     all_words,
     enumerate_contractions,
     normal_order,
@@ -55,6 +61,13 @@ def test_p_form_at_one_equals_rewriting(word):
 @given(words)
 def test_contractions_are_the_rook_placements_of_the_varvak_board(word):
     assert len(enumerate_contractions(word)) == sum(rook_numbers(varvak_board(word)))
+
+
+@PROPERTY
+@given(words)
+def test_transfer_tally_equals_walker_tally(word):
+    expected = Counter(node[1:3] for node in _contraction_nodes(word.letters))
+    assert _deformed_tally(word.letters) == expected
 
 
 def assert_passes_the_constructors(contraction):
