@@ -19,13 +19,10 @@ validating public constructor unchanged.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable
 
-from .grammar import GenSequence, P_FAMILY, STIRLING_FAMILY, growth_sequences
+from .grammar import FAMILIES, GenSequence, P_FAMILY, STIRLING_FAMILY, growth_sequences
 from .weyl import Contraction, WeylWord
-
-# The entry that leaves a black vertex isolated; an adjacent edge takes
-# the other one of 1 and 2.
-_ISOLATED = {STIRLING_FAMILY: 1, P_FAMILY: 2}
 
 # The contractions built from sequences of one length share one word, so
 # the word is not rebuilt per contraction.
@@ -45,7 +42,7 @@ def _require_ca_word(contraction: Contraction) -> int:
 
 def _contraction_of(s: GenSequence) -> Contraction:
     """Contraction of (ca)^len(s) built left to right: the family's
-    isolated entry at index j (from 0) leaves black vertex 2j+1
+    bounded entry at index j (from 0) leaves black vertex 2j+1
     isolated, any other entry k joins it to its max(k-1, 1)-st nearest
     unused white vertex.  The
     first entry, always 1, leaves the first black vertex isolated.
@@ -55,7 +52,7 @@ def _contraction_of(s: GenSequence) -> Contraction:
     sits k places before that end; the growth bound of a GenSequence
     guarantees that it exists.  The edges come by rising black and are
     sorted once, by white, at the end."""
-    isolated = _ISOLATED[s.family]
+    isolated = FAMILIES[s.family].bounded
     entries = s.entries
     whites = list(range(2, 2 * len(entries) + 1, 2))
     edges = []
@@ -88,14 +85,15 @@ def _sequence_of(c: Contraction, family: str) -> GenSequence:
     """The family's sequence of a contraction of (ca)^n.  Each edge is
     labelled by the number of white vertices strictly between its
     endpoints that no earlier black vertex uses; the entry at its black
-    vertex is label + 2, or the adjacent-edge entry for label 0.
+    vertex is label + 2, or the adjacent-edge entry 3 - b for label 0,
+    where b, the family's bounded entry, marks an isolated black vertex.
 
     A white w' between the endpoints (w, b) is used by an earlier black
     exactly when its edge (w', b') nests inside, b' < b.  So one sweep of
     the edges, sorted by white, from the last one back keeps the blacks
     of the edges seen so far (all with a later white) in a bitmask and
     subtracts those below b; nothing is sorted."""
-    isolated = _ISOLATED[family]
+    isolated = FAMILIES[family].bounded
     adjacent = 3 - isolated
     entries = [1] + [isolated] * (_require_ca_word(c) - 1)
     later = 0
@@ -116,8 +114,12 @@ def contraction_to_seq_p(c: Contraction) -> GenSequence:
     return _sequence_of(c, P_FAMILY)
 
 
-# The paper's names for the two restricted-growth families.
-_GROWTH_FAMILIES = {"P": STIRLING_FAMILY, "Q": P_FAMILY}
+def family_bijections(family: str) -> tuple[Callable, Callable]:
+    """The family's (seq_to_contraction_*, contraction_to_seq_*) pair,
+    read from this module when called, so that a wrapper set on either
+    name is the function returned."""
+    suffix = FAMILIES[family].suffix
+    return globals()["seq_to_contraction_" + suffix], globals()["contraction_to_seq_" + suffix]
 
 
 def enumerate_growth_sequences(kind: str, n: int) -> list[tuple[int, ...]]:
@@ -126,6 +128,7 @@ def enumerate_growth_sequences(kind: str, n: int) -> list[tuple[int, ...]]:
     Kind "P": s_1 = 1 and s_j <= #{i < j : s_i = 1} + 1 (the plain family).
     Kind "Q": s_1 = 1 and 1 <= s_j <= #{i < j : s_i = 2} + 2 (the weighted family).
     """
-    if kind not in _GROWTH_FAMILIES:
+    family = next((name for name, spec in FAMILIES.items() if spec.letter == kind), None)
+    if family is None:
         raise ValueError(f"unknown growth family {kind!r}")
-    return growth_sequences(_GROWTH_FAMILIES[kind], n)
+    return growth_sequences(family, n)

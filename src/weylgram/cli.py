@@ -17,10 +17,9 @@ from typing import Callable, Sequence
 
 from . import bijections, numbers, verify, weyl
 from .grammar import (
+    FAMILIES,
     GenSequence,
     Grammar,
-    P_FAMILY,
-    STIRLING_FAMILY,
     derive_chain,
     derive_n,
     parse_grammar,
@@ -86,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     bij = sub.add_parser(
         "bijection", help="map a generation sequence to its contraction, or back"
     )
-    bij.add_argument("--family", required=True, choices=(STIRLING_FAMILY, P_FAMILY))
+    bij.add_argument("--family", required=True, choices=tuple(FAMILIES))
     bij.add_argument("--seq", help="comma-separated entries, e.g. 1,2,1,3")
     bij.add_argument("--word", help="contraction word (with --edges)")
     bij.add_argument("--edges", help="contraction edges, e.g. '(4,5),(2,7)' or ''")
@@ -246,26 +245,20 @@ def _parse_edges(text: str, parser) -> tuple[tuple[int, int], ...]:
 def _cmd_bijection(args, parser) -> int:
     if (args.seq is None) == (args.word is None):
         parser.error("give exactly one of --seq or --word (with --edges)")
-    stirling = args.family == STIRLING_FAMILY
+    to_contraction, to_seq = bijections.family_bijections(args.family)
     if args.seq is not None:
         try:
             entries = tuple(int(part) for part in args.seq.split(","))
         except ValueError:
             parser.error(f"--seq must be comma-separated integers, got {args.seq!r}")
         seq = GenSequence(entries, args.family)
-        if stirling:
-            contraction = bijections.seq_to_contraction_stirling(seq)
-        else:
-            contraction = bijections.seq_to_contraction_p(seq)
+        contraction = to_contraction(seq)
         shown, keys = contraction, ("sequence", "word", "edges")
     else:
         if args.edges is None:
             parser.error("--word needs --edges (possibly empty) to define a contraction")
         contraction = weyl.Contraction(weyl.WeylWord.parse(args.word), _parse_edges(args.edges, parser))
-        if stirling:
-            seq = bijections.contraction_to_seq_stirling(contraction)
-        else:
-            seq = bijections.contraction_to_seq_p(contraction)
+        seq = to_seq(contraction)
         shown, keys = seq, ("word", "edges", "sequence")
 
     def payload() -> dict:

@@ -23,7 +23,8 @@ Two generation semantics are exposed, matching the only two cases with
 a fixed numbering convention: the plain semantics for {x -> x*y, y -> y}
 started from x or x*y (pick a letter position at each step), and the
 weighted semantics for {x -> p*x + x*y, y -> y} started from x (pick the
-p-branch, the y-branch, or one of the y letters).
+p-branch, the y-branch, or one of the y letters).  Every fact that tells
+the two apart is a field of their row in FAMILIES.
 """
 
 from __future__ import annotations
@@ -51,6 +52,34 @@ from .ring import (
 
 STIRLING_FAMILY = "stirling"
 P_FAMILY = "p-grammar"
+
+
+@dataclass(frozen=True)
+class Family:
+    """The facts of one generation-sequence family.  Most follow from its
+    bounded entry b: the next entry of a sequence is at most #b + b
+    (counted over the entries before it), each b after the first entry
+    adds a y letter, and in a contraction of (ca)^n entry b leaves a black
+    vertex isolated while 3 - b joins it by an adjacent edge."""
+
+    letter: str  # the paper's name of the restricted-growth family
+    label: str  # the name in messages and verify case ids
+    bounded: int
+    starts: tuple[int, ...]  # the k of the accepted start monomials x*y^k
+    offset: int  # added to every bound when the semantics starts from x
+    p_branch: bool  # whether the rule of x has a p*x term
+    suffix: str  # of bijections.seq_to_contraction_* and contraction_to_seq_*
+
+    @property
+    def bound_name(self) -> str:
+        return ("ones", "twos")[self.bounded - 1]
+
+
+# The two families, in the order the command line offers them.
+FAMILIES = {
+    STIRLING_FAMILY: Family("P", "plain", 1, (0, 1), -1, False, "stirling"),
+    P_FAMILY: Family("Q", "weighted", 2, (0,), 0, True, "p"),
+}
 
 SHIFT_VARIABLE = "lambda"
 
@@ -90,7 +119,7 @@ def parse_grammar(text: str) -> Grammar:
         after = parser.peek()
         if after.kind in (";", "end"):
             raise ParseError(f"empty rule image at {after.line}:{after.col}")
-        image = parser.parse_expr()
+        image = parser.parse_top()
         if tok.value in rules:
             raise ParseError(f"duplicate left-hand side {tok.value!r} at {tok.line}:{tok.col}")
         rules[tok.value] = image
@@ -205,9 +234,11 @@ def _derivatives(steps: Sequence[Grammar], a: Polynomial, every: bool = False) -
 
 def growth_bound(family: str, ones: int, twos: int) -> int:
     """Largest entry a sequence of the family may take next, after a
-    prefix holding that many 1s and 2s: the ones bound #1s + 1 for the
-    plain family, the twos bound #2s + 2 for the weighted family."""
-    return ones + 1 if family == STIRLING_FAMILY else twos + 2
+    prefix holding that many 1s and 2s: #b + b for the family's bounded
+    entry b, so the ones bound #1s + 1 for the plain family and the twos
+    bound #2s + 2 for the weighted family."""
+    b = FAMILIES[family].bounded
+    return (ones, twos)[b - 1] + b
 
 
 def growth_sequences(family: str, length: int, offset: int = 0) -> list[tuple[int, ...]]:
@@ -222,13 +253,11 @@ def growth_sequences(family: str, length: int, offset: int = 0) -> list[tuple[in
     """
     if length < 1:
         raise ValueError("length must be >= 1")
+    b = FAMILIES[family].bounded
+    top = b + offset + 1  # the growth bound is #b + b, plus the offset
     level = [(1,)]
     for _ in range(length - 1):
-        level = [
-            prefix + (s,)
-            for prefix in level
-            for s in range(1, growth_bound(family, prefix.count(1), prefix.count(2)) + offset + 1)
-        ]
+        level = [prefix + (s,) for prefix in level for s in range(1, prefix.count(b) + top)]
     return level
 
 
@@ -248,15 +277,15 @@ class GenSequence:
     family: str
 
     def __post_init__(self):
-        if self.family not in (STIRLING_FAMILY, P_FAMILY):
+        spec = FAMILIES.get(self.family)
+        if spec is None:
             raise ValueError(f"unknown sequence family {self.family!r}")
         if not self.entries or self.entries[0] != 1:
             raise ValueError("sequence must start with 1")
         ones = twos = 0
         for j, s in enumerate(self.entries):
             if j and not 1 <= s <= growth_bound(self.family, ones, twos):
-                bound = "ones" if self.family == STIRLING_FAMILY else "twos"
-                raise ValueError(f"entry {s} at position {j + 1} violates the {bound} bound")
+                raise ValueError(f"entry {s} at position {j + 1} violates the {spec.bound_name} bound")
             ones += s == 1
             twos += s == 2
 
@@ -282,19 +311,13 @@ class GenerationRecord:
     weight: Polynomial
 
 
-def _match_stirling(g: Grammar) -> tuple[str, str] | None:
-    """Recognize rules {x -> x*y, y -> y}; returns (x, y) letter names."""
+def _match(g: Grammar, p_branch: bool) -> tuple[str, str, str | None] | None:
+    """Recognize the rules {x -> x*y, y -> y}, or {x -> p*x + x*y, y -> y}
+    with p_branch; returns the (x, y, p) letter names, p None without it."""
     for x, y in permutations(g.rules, 2):
-        if g == Grammar({x: sym(x) * sym(y), y: sym(y)}):
-            return x, y
-    return None
-
-
-def _match_p_grammar(g: Grammar) -> tuple[str, str, str] | None:
-    """Recognize rules {x -> p*x + x*y, y -> y}; returns (x, y, p) names."""
-    for x, y in permutations(g.rules, 2):
-        for p in g.rules[x].symbols() - {x, y}:
-            if g == Grammar({x: sym(p) * sym(x) + sym(x) * sym(y), y: sym(y)}):
+        for p in g.rules[x].symbols() - {x, y} if p_branch else [None]:
+            image = sym(x) * sym(y) + (sym(p) * sym(x) if p else Polynomial.zero())
+            if g == Grammar({x: image, y: sym(y)}):
                 return x, y, p
     return None
 
@@ -309,43 +332,31 @@ def enumerate_generations(
     """
     if n < 0:
         raise ValueError("step count must be >= 0")
-    if family == STIRLING_FAMILY:
-        letters = _match_stirling(g)
-        if letters is None:
-            raise ValueError("grammar does not match the plain generation semantics")
-        x_name, y_name = letters
-        start_exps = dict(start)
-        y0 = start_exps.pop(y_name, 0)
-        if start_exps != {x_name: 1} or y0 not in (0, 1):
-            raise ValueError(f"unsupported start monomial for plain semantics: {start}")
-        # Each 1 after the first adds a y letter; from x there is one
-        # letter fewer to pick than from x*y, so the bound is one tighter.
-        return [
-            GenerationRecord(
-                GenSequence._trusted(seq, family),
-                monomial({x_name: 1, y_name: y0 + seq.count(1) - 1}),
-                Polynomial.one(),
-            )
-            for seq in growth_sequences(family, n + 1, y0 - 1)
-        ]
-    if family == P_FAMILY:
-        match = _match_p_grammar(g)
-        if match is None:
-            raise ValueError("grammar does not match the weighted generation semantics")
-        x_name, y_name, p_name = match
-        if dict(start) != {x_name: 1}:
-            raise ValueError(f"unsupported start monomial for weighted semantics: {start}")
-        p = sym(p_name)
-        # Each 2 adds a y letter; each 1 after the first takes the p-branch.
-        return [
-            GenerationRecord(
-                GenSequence._trusted(seq, family),
-                monomial({x_name: 1, y_name: seq.count(2)}),
-                p ** (seq.count(1) - 1),
-            )
-            for seq in growth_sequences(family, n + 1)
-        ]
-    raise ValueError(f"unknown generation family {family!r}")
+    spec = FAMILIES.get(family)
+    if spec is None:
+        raise ValueError(f"unknown generation family {family!r}")
+    letters = _match(g, spec.p_branch)
+    if letters is None:
+        raise ValueError(f"grammar does not match the {spec.label} generation semantics")
+    x_name, y_name, p_name = letters
+    start_exps = dict(start)
+    y0 = start_exps.pop(y_name, 0)
+    if start_exps != {x_name: 1} or y0 not in spec.starts:
+        raise ValueError(f"unsupported start monomial for {spec.label} semantics: {start}")
+    # After the first entry, each b adds a y letter and each 3 - b takes
+    # the p-branch, if there is one.  Each y letter of the start is one
+    # more letter to pick, so it widens every bound by one.
+    b = spec.bounded
+    p = sym(p_name) if p_name else Polynomial.one()
+    weights = [p**k for k in range(n + 1)]
+    return [
+        GenerationRecord(
+            GenSequence._trusted(seq, family),
+            monomial({x_name: 1, y_name: y0 + seq[1:].count(b)}),
+            weights[seq[1:].count(3 - b)],
+        )
+        for seq in growth_sequences(family, n + 1, spec.offset + y0)
+    ]
 
 
 def generation_sum(records: Sequence[GenerationRecord]) -> Polynomial:

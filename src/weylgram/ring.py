@@ -441,6 +441,15 @@ class _ExprParser:
         tok = self.peek()
         return ParseError(f"{message} at {tok.line}:{tok.col}")
 
+    def parse_top(self) -> Polynomial:
+        """parse_expr, with nesting too deep for Python's recursion limit
+        reported as a ParseError at the expression's first token."""
+        tok = self.peek()
+        try:
+            return self.parse_expr()
+        except RecursionError:
+            raise ParseError(f"expression nested too deeply at {tok.line}:{tok.col}") from None
+
     def parse_expr(self) -> Polynomial:
         negate = False
         if self.peek().kind == "-":
@@ -498,7 +507,7 @@ class _ExprParser:
 
 def parse_polynomial(text: str) -> Polynomial:
     parser = _ExprParser(tokenize(text))
-    result = parser.parse_expr()
+    result = parser.parse_top()
     if parser.peek().kind != "end":
         raise parser.fail("unexpected trailing input")
     return result

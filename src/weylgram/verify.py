@@ -19,6 +19,7 @@ from typing import Sequence
 
 from . import bijections, numbers, weyl
 from .grammar import (
+    FAMILIES,
     GenSequence,
     Grammar,
     P_FAMILY,
@@ -275,15 +276,6 @@ def verify_deformed(max_n: int = SUITES["deformed"].default) -> Report:
     return report
 
 
-# All fifteen twos-bounded sequences of length 4 in lexicographic order;
-# the contractions of (ca)^4 must recover exactly these.
-_WEIGHTED_SEQUENCES_LEN4 = (
-    (1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 2, 1), (1, 1, 2, 2), (1, 1, 2, 3),
-    (1, 2, 1, 1), (1, 2, 1, 2), (1, 2, 1, 3), (1, 2, 2, 1), (1, 2, 2, 2),
-    (1, 2, 2, 3), (1, 2, 2, 4), (1, 2, 3, 1), (1, 2, 3, 2), (1, 2, 3, 3),
-)
-
-
 def verify_bijections(max_n: int = SUITES["bijections"].default, count_max_n: int = 9) -> Report:
     """Round trips, statistic transport, multiset agreement, and the
     restricted-growth counting corollaries."""
@@ -296,37 +288,23 @@ def verify_bijections(max_n: int = SUITES["bijections"].default, count_max_n: in
     }
 
     for length, contractions in contractions_of.items():
-        bad = [
-            c
-            for c in contractions
-            if bijections.seq_to_contraction_stirling(bijections.contraction_to_seq_stirling(c)) != c
-        ]
-        report.check(f"round-trip-plain/(ca)^{length}", 0, len(bad))
-        bad = [
-            c
-            for c in contractions
-            if bijections.seq_to_contraction_p(bijections.contraction_to_seq_p(c)) != c
-        ]
-        report.check(f"round-trip-weighted/(ca)^{length}", 0, len(bad))
-
-        seqs = [GenSequence._trusted(s, STIRLING_FAMILY) for s in growth_sequences(STIRLING_FAMILY, length)]
-        bad_seqs = [
-            s for s in seqs
-            if bijections.contraction_to_seq_stirling(bijections.seq_to_contraction_stirling(s)) != s
-        ]
-        report.check(f"round-trip-plain-sequences/len={length}", 0, len(bad_seqs))
-        seqs = [GenSequence._trusted(s, P_FAMILY) for s in growth_sequences(P_FAMILY, length)]
-        bad_seqs = [
-            s for s in seqs
-            if bijections.contraction_to_seq_p(bijections.seq_to_contraction_p(s)) != s
-        ]
-        report.check(f"round-trip-weighted-sequences/len={length}", 0, len(bad_seqs))
+        for family, spec in FAMILIES.items():
+            to_contraction, to_seq = bijections.family_bijections(family)
+            bad = [c for c in contractions if to_contraction(to_seq(c)) != c]
+            report.check(f"round-trip-{spec.label}/(ca)^{length}", 0, len(bad))
+        for family, spec in FAMILIES.items():
+            to_contraction, to_seq = bijections.family_bijections(family)
+            seqs = (GenSequence._trusted(s, family) for s in growth_sequences(family, length))
+            bad = [s for s in seqs if to_seq(to_contraction(s)) != s]
+            report.check(f"round-trip-{spec.label}-sequences/len={length}", 0, len(bad))
 
     if max_n >= 3:
+        # The contractions of (ca)^4 recover every twos-bounded sequence of
+        # length 4, each once.
         recovered = tuple(
             sorted(bijections.contraction_to_seq_p(c).entries for c in contractions_of[4])
         )
-        report.check("sequence-table/(ca)^4", _WEIGHTED_SEQUENCES_LEN4, recovered)
+        report.check("sequence-table/(ca)^4", tuple(growth_sequences(P_FAMILY, 4)), recovered)
 
     # Transport: the sequence of a contraction generates p^(adjacent
     # edges) * x * y^(isolated creation vertices beyond the leftmost one,

@@ -21,6 +21,8 @@ from weylgram.grammar import (
 )
 from weylgram.ring import Polynomial, TruncatedSeries, sym
 
+from test_grammar import TWOS_BOUNDED_LEN4
+
 X, Y, P, Q = sym("x"), sym("y"), sym("p"), sym("q")
 STIRLING = parse_grammar("x -> x*y; y -> y")
 
@@ -64,7 +66,7 @@ def test_criterion_2_chain_displays_and_generalized_bell():
 
 
 def test_criterion_3_contraction_counts_and_labels():
-    labels = sorted(verify._WEIGHTED_SEQUENCES_LEN4)
+    labels = sorted(TWOS_BOUNDED_LEN4)
     with criterion(3, "contraction diagrams and their labels", 0.010):
         assert len(weyl.enumerate_contractions(weyl.WeylWord.ca_power(3))) == 5
         contractions = weyl.enumerate_contractions(weyl.WeylWord.ca_power(4))

@@ -66,7 +66,7 @@ def test_empty_word_has_no_sequence():
     # (ca)^0 has no generation sequence: the shortest one, (1), is (ca)^1.
     empty = Contraction(WeylWord(""), ())
     for to_seq in (contraction_to_seq_stirling, contraction_to_seq_p):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^the empty word has no generation sequence "):
             to_seq(empty)
 
 
@@ -182,13 +182,12 @@ def test_statistic_transport():
 
 def test_word_shape_is_checked():
     skewed = Contraction(WeylWord("acac"), ((1, 2),))
-    with pytest.raises(ValueError):
-        contraction_to_seq_stirling(skewed)
-    with pytest.raises(ValueError):
-        contraction_to_seq_p(skewed)
-    with pytest.raises(ValueError):
+    for to_seq in (contraction_to_seq_stirling, contraction_to_seq_p):
+        with pytest.raises(ValueError, match=r"^word not of \(ca\)\^n shape: 'acac'$"):
+            to_seq(skewed)
+    with pytest.raises(ValueError, match="^sequence is not in the weighted family$"):
         seq_to_contraction_p(_plain_seq(1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^sequence is not in the plain family$"):
         seq_to_contraction_stirling(_p_seq(1, 2))
 
 
@@ -199,10 +198,11 @@ def test_growth_family_examples():
     assert sorted(ones) == [1, 2, 2, 2, 3]
     assert enumerate_growth_sequences("Q", 2) == [(1, 1), (1, 2)]
     assert enumerate_growth_sequences("P", 1) == [(1,)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown growth family 'R'$"):
         enumerate_growth_sequences("R", 3)
-    with pytest.raises(ValueError):
-        enumerate_growth_sequences("P", 0)
+    for kind in ("P", "Q"):
+        with pytest.raises(ValueError, match="^length must be >= 1$"):
+            enumerate_growth_sequences(kind, 0)
 
 
 def test_growth_families_count_partitions():

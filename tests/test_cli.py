@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weylgram
 from weylgram.cli import main
 from weylgram.verify import SUITES
 from weylgram.ring import parse_polynomial
@@ -260,6 +265,40 @@ def test_usage_errors_exit_2(capsys):
             main(argv)
         assert exc.value.code == 2, argv
         capsys.readouterr()
+
+
+def _nested(text, depth):
+    return "(" * depth + text + ")" * depth
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["derive", "--grammar", "x -> x*y; y -> y", "--start", _nested("x", 5000), "--steps", "1"],
+        ["derive", "--grammar", "x -> " + _nested("x*y", 5000) + "; y -> y", "--start", "x", "--steps", "1"],
+    ],
+    ids=["start", "grammar"],
+)
+def test_deep_nesting_is_a_usage_error(argv):
+    # past the recursion limit of the expression parser: a ParseError, not a RecursionError
+    env = dict(os.environ, PYTHONPATH=str(Path(weylgram.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "weylgram", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines()[-1].startswith("weylgram: error: expression nested too deeply at 1:")
+
+
+def test_moderate_nesting_still_parses(capsys):
+    assert parse_polynomial(_nested("x", 200)) == parse_polynomial("x")
+    code, out = run_cli(capsys, "derive", "--grammar", "x -> x*y; y -> y", "--start", _nested("x", 200), "--steps", "0")
+    assert (code, out) == (0, "x\n")
+    code, out = run_cli(
+        capsys, "derive", "--grammar", "x -> " + _nested("x*y", 200) + "; y -> y", "--start", "x", "--steps", "1"
+    )
+    assert (code, out) == (0, "x*y\n")
 
 
 @pytest.mark.parametrize(

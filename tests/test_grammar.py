@@ -2,6 +2,7 @@
 the shift operator."""
 
 import random
+import re
 from fractions import Fraction
 from math import comb, factorial
 
@@ -161,13 +162,33 @@ def test_second_order_eulerian_grammar_rows():
 
 def test_gen_sequence_validation():
     GenSequence((1, 1, 2), STIRLING_FAMILY)
-    with pytest.raises(ValueError):
-        GenSequence((2,), STIRLING_FAMILY)
-    with pytest.raises(ValueError):
+    for family in (STIRLING_FAMILY, P_FAMILY):
+        with pytest.raises(ValueError, match="^sequence must start with 1$"):
+            GenSequence((2,), family)
+        with pytest.raises(ValueError, match="^sequence must start with 1$"):
+            GenSequence((), family)
+        with pytest.raises(ValueError, match="^entry 0 at position 2 "):
+            GenSequence((1, 0), family)
+    with pytest.raises(ValueError, match="^entry 3 at position 2 violates the ones bound$"):
         GenSequence((1, 3), STIRLING_FAMILY)  # only one 1 seen so far
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^entry 3 at position 2 violates the twos bound$"):
         GenSequence((1, 3), P_FAMILY)  # no 2 seen so far
+    with pytest.raises(ValueError, match="^unknown sequence family 'unknown'$"):
+        GenSequence((1,), "unknown")
     GenSequence((1, 2, 3), P_FAMILY)
+
+
+# The fifteen twos-bounded sequences of length 4 in lexicographic order,
+# as published; the contractions of (ca)^4 carry exactly these labels.
+TWOS_BOUNDED_LEN4 = (
+    (1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 2, 1), (1, 1, 2, 2), (1, 1, 2, 3),
+    (1, 2, 1, 1), (1, 2, 1, 2), (1, 2, 1, 3), (1, 2, 2, 1), (1, 2, 2, 2),
+    (1, 2, 2, 3), (1, 2, 2, 4), (1, 2, 3, 1), (1, 2, 3, 2), (1, 2, 3, 3),
+)
+
+
+def test_twos_bounded_sequences_of_length_4_are_the_published_table():
+    assert growth_sequences(P_FAMILY, 4) == list(TWOS_BOUNDED_LEN4)
 
 
 def reference_growth_sequences(family, length, offset=0):
@@ -262,22 +283,42 @@ def test_generation_start_shift():
 
 
 def test_generation_unsupported_pairs():
-    with pytest.raises(ValueError):
-        enumerate_generations(STIRLING, monomial({"x": 1}), 2, P_FAMILY)
-    with pytest.raises(ValueError):
-        enumerate_generations(PGRAM, monomial({"x": 1}), 2, STIRLING_FAMILY)
-    with pytest.raises(ValueError):
-        enumerate_generations(STIRLING, monomial({"y": 2}), 2, STIRLING_FAMILY)
-    with pytest.raises(ValueError):
-        enumerate_generations(STIRLING, monomial({"x": 1}), 2, "unknown")
-    with pytest.raises(ValueError):
-        enumerate_generations(parse_grammar("x -> 2*x*y; y -> y"), monomial({"x": 1}), 2, STIRLING_FAMILY)
-    with pytest.raises(ValueError):
-        enumerate_generations(parse_grammar("x -> y*x + x*y; y -> y"), monomial({"x": 1}), 2, P_FAMILY)
-    # the letter names are free: u, v play the roles of x, y
-    renamed = enumerate_generations(parse_grammar("u -> u*v; v -> v"), monomial({"u": 1}), 2, STIRLING_FAMILY)
-    plain = enumerate_generations(STIRLING, monomial({"x": 1}), 2, STIRLING_FAMILY)
-    assert [r.sequence for r in renamed] == [r.sequence for r in plain]
+    for grammar, start, n, family, message in [
+        (STIRLING, {"x": 1}, -1, STIRLING_FAMILY, "step count must be >= 0"),
+        (PGRAM, {"x": 1}, -1, P_FAMILY, "step count must be >= 0"),
+        (STIRLING, {"x": 1}, 2, "unknown", "unknown generation family 'unknown'"),
+        (STIRLING, {"x": 1}, 2, P_FAMILY, "grammar does not match the weighted generation semantics"),
+        (PGRAM, {"x": 1}, 2, STIRLING_FAMILY, "grammar does not match the plain generation semantics"),
+        ("x -> 2*x*y; y -> y", {"x": 1}, 2, STIRLING_FAMILY, "grammar does not match the plain generation semantics"),
+        ("x -> y*x + x*y; y -> y", {"x": 1}, 2, P_FAMILY, "grammar does not match the weighted generation semantics"),
+        (STIRLING, {"y": 2}, 2, STIRLING_FAMILY, "unsupported start monomial for plain semantics: (('y', 2),)"),
+        (STIRLING, {"x": 1, "y": 2}, 2, STIRLING_FAMILY, "unsupported start monomial for plain semantics: (('x', 1), ('y', 2))"),
+        (PGRAM, {"x": 1, "y": 1}, 2, P_FAMILY, "unsupported start monomial for weighted semantics: (('x', 1), ('y', 1))"),
+        (PGRAM, {"x": 2}, 2, P_FAMILY, "unsupported start monomial for weighted semantics: (('x', 2),)"),
+    ]:
+        if isinstance(grammar, str):
+            grammar = parse_grammar(grammar)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            enumerate_generations(grammar, monomial(start), n, family)
+
+
+def test_generation_letter_names_are_free():
+    # u, v (and t for p) play the roles of x, y (and p)
+    names = {"u": "x", "v": "y", "t": "p"}
+
+    def records(grammar, family, start, n=3):
+        return [
+            (r.sequence, {names.get(k, k): e for k, e in r.monomial}, r.weight)
+            for r in enumerate_generations(parse_grammar(grammar), monomial(start), n, family)
+        ]
+
+    assert records("u -> u*v; v -> v", STIRLING_FAMILY, {"u": 1}) == records(
+        "x -> x*y; y -> y", STIRLING_FAMILY, {"x": 1}
+    )
+    renamed = records("u -> t*u + u*v; v -> v", P_FAMILY, {"u": 1})
+    weighted = records("x -> p*x + x*y; y -> y", P_FAMILY, {"x": 1})
+    assert [(s, m, w.substitute("t", P)) for s, m, w in renamed] == weighted
+    assert len(weighted) == 15
 
 
 # -- shift operator ---------------------------------------------------------
