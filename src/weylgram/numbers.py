@@ -48,7 +48,9 @@ def _as_param(value: ParamValue) -> Polynomial:
 
 # Every row the recurrence oracles have built, keyed by family and bound
 # parameters: _ROWS[key][n] is row n indexed by k, None below the family's
-# first row.  Like the caches it replaced, it is never freed.
+# first row.  It holds one list per family and parameter binding, with the
+# rows up to the largest n requested; row n has n + 1 entries (n*r + 1 for
+# S_{r,r}).  Nothing is freed for the life of the process.
 _ROWS: dict[tuple, list] = {}
 
 
@@ -88,7 +90,7 @@ def bell(n: int) -> int:
     """Row sum of the Stirling triangle."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return sum(stirling2(n, k) for k in range(n + 1))
+    return sum(_stirling2_row(n))
 
 
 # -- Eulerian families -----------------------------------------------------
@@ -248,7 +250,7 @@ def dowling_poly(n: int, m: ParamValue = "m", r: ParamValue = "r", var: str = "x
     if n < 0:
         raise ValueError("n must be >= 0")
     x = sym(var)
-    return poly_sum(whitney(n, k, m, r) * x**k for k in range(n + 1))
+    return poly_sum(w * x**k for k, w in enumerate(_whitney_row(n, m, r)))
 
 
 def rstirling_bruteforce(n: int, k: int, r: int) -> int:

@@ -21,6 +21,7 @@ accepts implicit multiplication by juxtaposition.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -53,6 +54,13 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
 
 def monomial_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
+
+
+def _find(mono: Monomial, name: str) -> tuple[int, int]:
+    """Position and exponent of a symbol in a sorted monomial; for an
+    absent symbol, the position it would take and exponent 0."""
+    i = bisect_left(mono, (name,))
+    return (i, mono[i][1]) if i < len(mono) and mono[i][0] == name else (i, 0)
 
 
 def _coerce_coeff(value: Rational) -> Rational:
@@ -159,15 +167,13 @@ class Polynomial:
         """Group terms by the exponent of one symbol.
 
         Returns {exponent: polynomial free of that symbol}; the keys are
-        exactly the exponents that occur.
+        exactly the exponents that occur, in no particular order.
         """
         groups: dict[int, dict[Monomial, Rational]] = {}
         for mono, coeff in self._terms.items():
-            exps = dict(mono)
-            e = exps.pop(name, 0)
-            rest = tuple(sorted(exps.items()))
-            groups.setdefault(e, {})[rest] = coeff
-        return {e: _from_clean(terms) for e, terms in sorted(groups.items())}
+            i, e = _find(mono, name)
+            groups.setdefault(e, {})[mono[:i] + mono[i + 1 :] if e else mono] = coeff
+        return {e: _from_clean(terms) for e, terms in groups.items()}
 
     # -- arithmetic ---------------------------------------------------
 
@@ -224,15 +230,10 @@ class Polynomial:
 
         def lowered():
             for mono, coeff in self._terms.items():
-                exps = dict(mono)
-                e = exps.get(name, 0)
-                if not e:
-                    continue
-                if e == 1:
-                    del exps[name]
-                else:
-                    exps[name] = e - 1
-                yield tuple(sorted(exps.items())), coeff * e
+                i, e = _find(mono, name)
+                if e:
+                    kept = ((name, e - 1),) if e > 1 else ()
+                    yield mono[:i] + kept + mono[i + 1 :], coeff * e
 
         return _from_clean(_accumulate({}, lowered()))
 
@@ -243,11 +244,10 @@ class Polynomial:
 
         def images():
             for mono, coeff in self._terms.items():
-                exps = dict(mono)
-                e = exps.pop(name, 0)
+                i, e = _find(mono, name)
                 if e not in powers:
                     powers[e] = value**e
-                rest = tuple(sorted(exps.items()))
+                rest = mono[:i] + mono[i + 1 :] if e else mono
                 for mono_v, coeff_v in powers[e]._terms.items():
                     yield monomial_mul(rest, mono_v), coeff * coeff_v
 
@@ -527,47 +527,41 @@ def falling_factorial(base: Polynomial | Rational, n: int) -> Polynomial:
     return result
 
 
-def _divide_linear(p: Polynomial, name: str, root: int) -> Polynomial:
-    """Exact synthetic division of p by (name - root); remainder must vanish."""
-    by_power = p.coefficients_in(name)
-    degree = max(by_power) if by_power else 0
-    quotient: dict[int, Polynomial] = {}
-    carry = Polynomial.zero()
-    for e in range(degree, 0, -1):
-        carry = by_power.get(e, Polynomial.zero()) + carry * root
-        quotient[e - 1] = carry
-    remainder = by_power.get(0, Polynomial.zero()) + carry * root
-    if not remainder.is_zero():
-        raise ValueError(f"nonzero remainder dividing by ({name} - {root})")
-    var = Polynomial.symbol(name)
-    return poly_sum(coeff * var**e for e, coeff in quotient.items())
-
-
 def to_falling_factorial_basis(p: Polynomial, name: str) -> list[Polynomial]:
     """Coefficients c_k with p = sum c_k * name^(falling k).
 
     Computed by successive evaluation at 0, 1, 2, ... and exact division
     by the linear factors, so the result does not presuppose any triangle
-    of basis-change numbers.
+    of basis-change numbers.  Both steps run on one list of coefficients
+    in `name`, highest power first: Horner's rule gives the value at k,
+    and synthetic division by (name - k) rewrites the list in place into
+    the quotient, popping the remainder off its end.
     """
-    if p.is_zero():
-        return [Polynomial.zero()]
+    by_power = p.coefficients_in(name)
+    zero = Polynomial.zero()
+    rest = [by_power.get(e, zero) for e in range(max(by_power, default=0), -1, -1)]
     coeffs: list[Polynomial] = []
-    rem = p
-    k = 0
-    while not rem.is_zero():
-        c = rem.substitute(name, k)
-        coeffs.append(c)
-        rem = _divide_linear(rem - c, name, k)
-        k += 1
+    for k in range(len(rest)):
+        value = rest[0]
+        for a in rest[1:]:
+            value = value.scale(k) + a
+        coeffs.append(value)
+        rest[-1] = rest[-1] - value
+        for i in range(1, len(rest)):
+            rest[i] = rest[i] + rest[i - 1].scale(k)
+        if rest.pop():
+            raise ValueError(f"nonzero remainder dividing by ({name} - {k})")
     return coeffs
 
 
 def from_falling_factorial_basis(coeffs: Iterable[Polynomial | Rational], name: str) -> Polynomial:
+    """sum c_k * name^(falling k), in the nested form
+    c_0 + name*(c_1 + (name - 1)*(c_2 + ...)): one product per coefficient."""
     var = Polynomial.symbol(name)
-    return poly_sum(
-        coerce_polynomial(c) * falling_factorial(var, k) for k, c in enumerate(coeffs)
-    )
+    result = Polynomial.zero()
+    for k, c in reversed(list(enumerate(coeffs))):
+        result = coerce_polynomial(c) + (var - k) * result
+    return result
 
 
 # -- truncated power series ----------------------------------------------

@@ -38,6 +38,7 @@ suite in verify.py).
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -393,12 +394,5 @@ def nf_multiply(a: NormalForm, b: NormalForm) -> NormalForm:
 
 def all_words(length: int) -> Iterable[WeylWord]:
     """All 2^length words of the given length, in lexicographic order."""
-    if length == 0:
-        yield WeylWord._trusted("")
-        return
-    for bits in range(2**length):
-        letters = "".join(
-            CREATION if (bits >> (length - 1 - pos)) & 1 else ANNIHILATION
-            for pos in range(length)
-        )
-        yield WeylWord._trusted(letters)
+    for letters in itertools.product(ANNIHILATION + CREATION, repeat=length):
+        yield WeylWord._trusted("".join(letters))

@@ -34,7 +34,13 @@ from weylgram.numbers import (
     stirling_p,
     whitney,
 )
-from weylgram.ring import Polynomial, falling_factorial, parse_polynomial, sym
+from weylgram.ring import (
+    Polynomial,
+    falling_factorial,
+    parse_polynomial,
+    sym,
+    to_falling_factorial_basis,
+)
 
 X, Y, P, Q, M, R = (sym(n) for n in "xypqmr")
 
@@ -282,6 +288,24 @@ def test_rook_numbers_match_column_recurrence():
                 expected[k] + (h - k + 1) * expected[k - 1] for k in range(1, len(expected))
             ]
         assert rook_numbers(FerrersBoard(tuple(heights))) == expected, heights
+
+
+def test_rook_numbers_match_the_gjw_product():
+    # Goldman-Joichi-White: sum_k r_k x^(falling n-k) = prod_i (x + h_i - i + 1)
+    # for a Ferrers board of n columns, so the falling-basis coefficients of
+    # the product, read in reverse, are the rook numbers.
+    rng = random.Random(1975)
+    boards = [staircase_board(n, extra) for n in range(5) for extra in (False, True)]
+    boards += [
+        FerrersBoard(tuple(sorted(rng.randint(0, 6) for _ in range(rng.randint(0, 8)))))
+        for _ in range(30)
+    ]
+    for board in boards:
+        product = Polynomial.one()
+        for i, h in enumerate(board.heights, start=1):
+            product = product * (X + (h - i + 1))
+        coeffs = to_falling_factorial_basis(product, "x")
+        assert [c.constant_value() for c in reversed(coeffs)] == rook_numbers(board), board
 
 
 def reference_rook_numbers(heights):

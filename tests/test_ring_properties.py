@@ -1,6 +1,7 @@
 """Property tests for polynomials: rendering and parsing back gives the
-same polynomial, poly_sum agrees with an independent sum, and the ring
-operations obey the ring laws, all results kept in stored form."""
+same polynomial, poly_sum agrees with an independent sum, the ring
+operations obey the ring laws, and the falling-factorial basis converts
+back to the same polynomial, all results kept in stored form."""
 
 from fractions import Fraction
 
@@ -10,7 +11,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from test_grammar import assert_stored_form
-from weylgram.ring import Polynomial, monomial, parse_polynomial, poly_sum
+from weylgram.ring import (
+    Polynomial,
+    from_falling_factorial_basis,
+    monomial,
+    parse_polynomial,
+    poly_sum,
+    to_falling_factorial_basis,
+)
 
 PROPERTY = settings(max_examples=200, deadline=None, database=None)
 LAWS = settings(max_examples=20, deadline=None, database=None)
@@ -113,3 +121,21 @@ def test_substitute_is_a_ring_homomorphism(p, q, value):
     assert image(p + q) == image(p) + image(q)
     assert image(p * q) == image(p) * image(q)
     assert_stored_form(image(p * q))
+
+
+xy_polynomials = st.dictionaries(
+    st.dictionaries(st.sampled_from("xy"), st.integers(0, 12), max_size=2).map(monomial),
+    coefficients,
+    max_size=6,
+).map(Polynomial)
+
+
+@PROPERTY
+@given(xy_polynomials)
+def test_falling_basis_round_trip(p):
+    coeffs = to_falling_factorial_basis(p, "x")
+    assert len(coeffs) == max(p.coefficients_in("x"), default=0) + 1
+    for c in coeffs:
+        assert "x" not in c.symbols()
+        assert_stored_form(c)
+    assert from_falling_factorial_basis(coeffs, "x") == p

@@ -38,6 +38,17 @@ def test_word_parsing():
         WeylWord("xyz")
 
 
+def test_all_words_order_is_pinned():
+    # A failing wick-equals-rewrite or transfer-equals-walker case names
+    # the first word that fails, so the order is part of the report.
+    assert [w.letters for w in all_words(0)] == [""]
+    assert [w.letters for w in all_words(1)] == ["a", "c"]
+    assert [w.letters for w in all_words(2)] == ["aa", "ac", "ca", "cc"]
+    assert [w.letters for w in all_words(3)] == [
+        "aaa", "aac", "aca", "acc", "caa", "cac", "cca", "ccc"
+    ]
+
+
 def test_normal_order_commutator():
     assert normal_order(WeylWord("ac")) == NormalForm({(1, 1): 1, (0, 0): 1})
 
