@@ -9,6 +9,7 @@ usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -28,7 +29,15 @@ from .grammar import (
 from .ring import ParseError, parse_polynomial
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `weylgram` argument parser.
+
+    It is built once per process, on the first call, and every later call
+    (each `main` among them) returns that same object.  Callers must not
+    mutate it, and handlers must not mutate the lists in the namespace it
+    returns: an `append` option's default list is shared by every parse.
+    """
     parser = argparse.ArgumentParser(
         prog="weylgram",
         description="Grammar-derivative calculus, normal ordering, and the "
@@ -277,31 +286,23 @@ def _cmd_rook(args, parser) -> int:
     )
 
 
-def _flag(budget: str) -> str:
-    """The command-line flag of a verify budget keyword."""
-    return "--" + budget.replace("_", "-")
-
-
 def _cmd_verify(args, parser) -> int:
     run_all = args.suite == "all"
     names = [name for name, suite in verify.SUITES.items() if suite.in_all] if run_all else [args.suite]
     if not run_all:
-        own = verify.SUITES[args.suite].budget
-        for other in {suite.budget for suite in verify.SUITES.values()} - {own}:
-            if getattr(args, other) is not None:
-                parser.error(f"{_flag(other)} does not apply to the {args.suite} suite; use {_flag(own)}")
+        own = verify.SUITES[args.suite]
+        for suite in verify.SUITES.values():
+            if suite.budget != own.budget and getattr(args, suite.budget) is not None:
+                parser.error(f"{suite.flag} does not apply to the {args.suite} suite; use {own.flag}")
     budgets: dict[str, int | None] = {}
-    for name, suite in verify.SUITES.items():
+    for name in names:
+        suite = verify.SUITES[name]
         requested = getattr(args, suite.budget)
-        if requested is None or suite.low <= requested <= suite.cap:
-            budgets[name] = requested
-        elif run_all and suite.budget == "max_n":
+        if run_all and suite.budget == "max_n" and requested is not None:
             # the --max-n that --suite all shares is clamped per suite
-            budgets[name] = max(suite.low, min(requested, suite.cap))
-        elif name in names:
-            flag = _flag(suite.budget)
-            parser.error(f"{flag} must be between {suite.low} and {suite.cap} for the {name} suite")
-    reports = [verify.run_suite(name, budgets[name]) for name in names]
+            requested = max(suite.low, min(requested, suite.cap))
+        budgets[name] = requested
+    reports = verify.run_suites(budgets)
     passed = all(report.passed for report in reports)
     overall = f"overall: {'PASS' if passed else 'FAIL'}"
     return _emit(

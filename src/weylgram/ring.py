@@ -533,24 +533,18 @@ def to_falling_factorial_basis(p: Polynomial, name: str) -> list[Polynomial]:
     Computed by successive evaluation at 0, 1, 2, ... and exact division
     by the linear factors, so the result does not presuppose any triangle
     of basis-change numbers.  Both steps run on one list of coefficients
-    in `name`, highest power first: Horner's rule gives the value at k,
-    and synthetic division by (name - k) rewrites the list in place into
-    the quotient, popping the remainder off its end.
+    in `name`, highest power first.  Synthetic division by (name - k)
+    rewrites the list in place into the quotient; its last accumulator,
+    popped off the end, is the remainder, which is the value at k.
     """
     by_power = p.coefficients_in(name)
     zero = Polynomial.zero()
     rest = [by_power.get(e, zero) for e in range(max(by_power, default=0), -1, -1)]
     coeffs: list[Polynomial] = []
     for k in range(len(rest)):
-        value = rest[0]
-        for a in rest[1:]:
-            value = value.scale(k) + a
-        coeffs.append(value)
-        rest[-1] = rest[-1] - value
         for i in range(1, len(rest)):
             rest[i] = rest[i] + rest[i - 1].scale(k)
-        if rest.pop():
-            raise ValueError(f"nonzero remainder dividing by ({name} - {k})")
+        coeffs.append(rest.pop())
     return coeffs
 
 

@@ -113,6 +113,11 @@ class Suite:
     cap: int
     in_all: bool = True
 
+    @property
+    def flag(self) -> str:
+        """The command-line flag that sets the budget, e.g. --max-n."""
+        return "--" + self.budget.replace("_", "-")
+
 
 # Every suite; `verify --suite all` runs those with in_all, in this order.
 SUITES: dict[str, Suite] = {
@@ -126,11 +131,25 @@ SUITES: dict[str, Suite] = {
 }
 
 
+def run_suites(budgets: dict[str, int | None]) -> list[Report]:
+    """Run the named suites in the given order, each at its budget (its
+    default when None).  Every budget is checked before any suite starts:
+    one outside its suite's low..cap raises ValueError."""
+    calls = []
+    for name, budget in budgets.items():
+        suite = SUITES[name]
+        if budget is None:
+            budget = suite.default
+        elif not suite.low <= budget <= suite.cap:
+            raise ValueError(f"{suite.flag} must be between {suite.low} and {suite.cap} for the {name} suite")
+        calls.append((globals()[suite.function], {suite.budget: budget}))
+    return [function(**kwargs) for function, kwargs in calls]
+
+
 def run_suite(name: str, budget: int | None = None) -> Report:
-    """Run one suite at a budget (its default when None)."""
-    suite = SUITES[name]
-    value = suite.default if budget is None else budget
-    return globals()[suite.function](**{suite.budget: value})
+    """Run one suite at a budget (its default when None); a budget outside
+    the suite's low..cap raises ValueError."""
+    return run_suites({name: budget})[0]
 
 
 def _csv(values) -> str:

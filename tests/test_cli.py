@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import weylgram
-from weylgram.cli import main
+from weylgram.cli import build_parser, main
 from weylgram.verify import SUITES
 from weylgram.ring import parse_polynomial
 
@@ -265,6 +265,19 @@ def test_usage_errors_exit_2(capsys):
             main(argv)
         assert exc.value.code == 2, argv
         capsys.readouterr()
+
+
+def test_main_builds_the_parser_once_per_process(capsys):
+    build_parser.cache_clear()
+    assert run_cli(capsys, "rook", "--board", "1,1,3,3") == (0, "1,8,14,4,0\n")
+    assert run_cli(capsys, "normal-order", "--word", "(ca)^2", "--param", "p=sym")[0] == 0
+    assert run_cli(capsys, "triangle", "--family", "stirling2", "--n", "3", "--format", "csv")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "rook", "--order", "3"])
+    assert exc.value.code == 2
+    assert run_cli(capsys, "verify", "--suite", "shift", "--order", "2")[0] == 0
+    assert build_parser.cache_info().misses == 1
+    assert build_parser() is build_parser()
 
 
 def _nested(text, depth):

@@ -1,6 +1,8 @@
 """Golden corpus: each command's exit code and the sha256 of its stdout
 and stderr, run as `python -m weylgram` in a fresh interpreter.  The
-interpreters run two at a time; each entry still gets its own.
+interpreters run two at a time; each entry still gets its own.  A second
+test replays the corpus through `cli.main` in this one interpreter, so
+state that one command leaves in the shared parser shows in the next.
 
 The expected values in tests/golden/cli.json were recorded from an
 earlier commit, so a change that alters any byte or exit code of a
@@ -13,7 +15,9 @@ which fills in the entries that have no recorded values and leaves every
 recorded entry as it is.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -24,6 +28,7 @@ from pathlib import Path
 import pytest
 
 import weylgram
+from weylgram.cli import main
 
 CORPUS = Path(__file__).with_name("golden") / "cli.json"
 
@@ -62,6 +67,36 @@ def results(request):
 def test_command_bytes_are_golden(entry, results):
     expected = (entry["exit"], entry["stdout_sha256"], entry["stderr_sha256"])
     assert results[tuple(entry["argv"])].result() == expected
+
+
+def run_in_process(argv):
+    """(exit code, stdout sha256, stderr sha256) of one command run through
+    cli.main in this interpreter."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return (
+        code,
+        hashlib.sha256(out.getvalue().encode()).hexdigest(),
+        hashlib.sha256(err.getvalue().encode()).hexdigest(),
+    )
+
+
+def test_corpus_replays_in_one_interpreter(monkeypatch):
+    # Every entry but the verify runs that pass, which only repeat suites
+    # the tier-1 tests run already, in corpus order.  The recorded usage
+    # text was wrapped at the 80 columns a pipe gets.
+    monkeypatch.setenv("COLUMNS", "80")
+    entries = [entry for entry in load_corpus() if not (entry["argv"][0] == "verify" and entry["exit"] == 0)]
+    mismatched = [
+        entry["argv"]
+        for entry in entries
+        if run_in_process(entry["argv"]) != (entry["exit"], entry["stdout_sha256"], entry["stderr_sha256"])
+    ]
+    assert mismatched == []
 
 
 def record():

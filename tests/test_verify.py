@@ -1,6 +1,9 @@
 """Tests for the verification suites and their report structure."""
 
 import json
+import re
+
+import pytest
 
 from weylgram import verify
 from weylgram.cli import main
@@ -9,6 +12,7 @@ from weylgram.verify import (
     CaseResult,
     Report,
     run_suite,
+    run_suites,
     verify_bijections,
     verify_grammar_theorems,
     verify_identities,
@@ -97,6 +101,39 @@ def test_suite_all_skips_the_deformed_suite(monkeypatch, capsys):
     capsys.readouterr()
     assert ran == [name for name, suite in SUITES.items() if suite.in_all]
     assert "deformed" not in ran
+
+
+def _refuse_to_start(monkeypatch):
+    def start(**budget):
+        raise AssertionError("a suite started")
+    for suite in SUITES.values():
+        monkeypatch.setattr(verify, suite.function, start)
+
+
+def test_run_suite_rejects_budgets_out_of_range_before_starting(monkeypatch):
+    _refuse_to_start(monkeypatch)
+    with pytest.raises(ValueError, match="^--max-n must be between 1 and 4 for the rook suite$"):
+        run_suite("rook", 10)
+    for name, suite in SUITES.items():
+        message = f"{suite.flag} must be between {suite.low} and {suite.cap} for the {name} suite"
+        for budget in (suite.low - 1, suite.cap + 1):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                run_suite(name, budget)
+    # a bad budget anywhere in the list stops the suites listed before it too
+    with pytest.raises(ValueError, match="^--order must be between 0 and 10 for the shift suite$"):
+        run_suites({"grammar": 3, "rook": None, "shift": 11})
+
+
+def test_verify_all_rejects_an_order_out_of_range_before_starting(monkeypatch, capsys):
+    _refuse_to_start(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "all", "--max-n", "99", "--order", "11"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "weylgram: error: --order must be between 0 and 10 for the shift suite"
+    )
 
 
 def test_reports_are_deterministic():
