@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from weylgram.grammar import Grammar, shift_apply
+from weylgram.grammar import Grammar, parse_grammar, shift_apply
 from weylgram.ring import (
     ParseError,
     Polynomial,
@@ -117,6 +117,58 @@ def test_parse_errors():
         parse_polynomial("1/0")
     with pytest.raises(ParseError, match="zero denominator at 1:5"):
         parse_polynomial("x + 3/00")
+
+
+DEEP = "(" * 3000 + "x" + ")" * 3000
+
+# (parser, text, the exact ParseError text) for every message of the
+# lexer, the expression parser and the rule-list parser.
+PARSE_ERRORS = [
+    # lexer
+    (parse_polynomial, "x $ y", "unexpected character '$' at 1:3"),
+    (parse_polynomial, "x +\n  2 ?", "unexpected character '?' at 2:5"),
+    (parse_polynomial, "\tx\t@", "unexpected character '@' at 1:4"),
+    (parse_polynomial, "3/ x", "unexpected character '/' at 1:2"),
+    (parse_polynomial, "1/0", "zero denominator at 1:1"),
+    (parse_polynomial, "x + 3/00", "zero denominator at 1:5"),
+    (parse_grammar, "x -> y; y -> x $", "unexpected character '$' at 1:16"),
+    # expressions
+    (parse_polynomial, "x ^ y", "expected nonnegative integer exponent at 1:5"),
+    (parse_polynomial, "x^1/2", "expected nonnegative integer exponent at 1:3"),
+    (parse_polynomial, "(x + y", "expected ')' at 1:7"),
+    (parse_polynomial, "x +", "expected number, symbol or '(' at 1:4"),
+    (parse_polynomial, "", "expected number, symbol or '(' at 1:1"),
+    (parse_polynomial, "x\n\n  * * y", "expected number, symbol or '(' at 3:5"),
+    (parse_polynomial, "x )", "unexpected trailing input at 1:3"),
+    (parse_polynomial, "x -> y", "unexpected trailing input at 1:3"),
+    (parse_polynomial, "x;", "unexpected trailing input at 1:2"),
+    (parse_polynomial, DEEP, "expression nested too deeply at 1:1"),
+    (parse_polynomial, "y + " + DEEP, "expression nested too deeply at 1:1"),
+    (parse_grammar, "x -> x*y;\n  y -> (y", "expected ')' at 2:10"),
+    (parse_grammar, "x -> " + DEEP, "expression nested too deeply at 1:6"),
+    # rule lists
+    (parse_grammar, "-> x", "expected rule symbol at 1:1"),
+    (parse_grammar, "x -> y;\n 2 -> y", "expected rule symbol at 2:2"),
+    (parse_grammar, "x x -> y", "expected '->' at 1:3"),
+    (parse_grammar, "x y", "expected '->' at 1:3"),
+    (parse_grammar, "x ->", "empty rule image at 1:5"),
+    (parse_grammar, "x -> ;", "empty rule image at 1:6"),
+    (parse_grammar, "x -> y;\ny ->\n;", "empty rule image at 3:1"),
+    (parse_grammar, "x -> y; x -> x", "duplicate left-hand side 'x' at 1:9"),
+    (parse_grammar, "x -> x*y;\n# c\n  x -> y", "duplicate left-hand side 'x' at 3:3"),
+    (parse_grammar, "x -> y\ny -> y", "expected ';' between rules at 2:3"),
+    (parse_grammar, "x -> y )", "expected ';' between rules at 1:8"),
+    (parse_grammar, "   # nothing here", "empty rule set"),
+    (parse_grammar, ";;", "empty rule set"),
+    (parse_grammar, "", "empty rule set"),
+]
+
+
+@pytest.mark.parametrize("parse, text, message", PARSE_ERRORS, ids=[m for _, _, m in PARSE_ERRORS])
+def test_parse_error_messages(parse, text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
 
 
 def test_falling_factorial_basis_examples():
