@@ -37,17 +37,15 @@ from typing import Mapping, Sequence
 
 from .ring import (
     Monomial,
-    ParseError,
     Polynomial,
     Rational,
     TruncatedSeries,
-    _ExprParser,
     _from_clean,
     monomial,
     monomial_degree,
+    parse_rules,
     poly_sum,
     sym,
-    tokenize,
 )
 
 STIRLING_FAMILY = "stirling"
@@ -102,36 +100,7 @@ class Grammar:
 
 def parse_grammar(text: str) -> Grammar:
     """Parse the rule mini-language ``sym -> poly ; sym -> poly ; ...``."""
-    tokens = tokenize(text)
-    parser = _ExprParser(tokens)
-    rules: dict[str, Polynomial] = {}
-    while parser.peek().kind == ";":
-        parser.next()
-    while parser.peek().kind != "end":
-        tok = parser.peek()
-        if tok.kind != "name":
-            raise ParseError(f"expected rule symbol at {tok.line}:{tok.col}")
-        parser.next()
-        arrow = parser.peek()
-        if arrow.kind != "->":
-            raise ParseError(f"expected '->' at {arrow.line}:{arrow.col}")
-        parser.next()
-        after = parser.peek()
-        if after.kind in (";", "end"):
-            raise ParseError(f"empty rule image at {after.line}:{after.col}")
-        image = parser.parse_top()
-        if tok.value in rules:
-            raise ParseError(f"duplicate left-hand side {tok.value!r} at {tok.line}:{tok.col}")
-        rules[tok.value] = image
-        sep = parser.peek()
-        if sep.kind == ";":
-            while parser.peek().kind == ";":
-                parser.next()
-        elif sep.kind != "end":
-            raise ParseError(f"expected ';' between rules at {sep.line}:{sep.col}")
-    if not rules:
-        raise ParseError("empty rule set")
-    return Grammar(rules)
+    return Grammar(parse_rules(text))
 
 
 def derive(g: Grammar, a: Polynomial) -> Polynomial:
@@ -342,7 +311,9 @@ def enumerate_generations(
     start_exps = dict(start)
     y0 = start_exps.pop(y_name, 0)
     if start_exps != {x_name: 1} or y0 not in spec.starts:
-        raise ValueError(f"unsupported start monomial for {spec.label} semantics: {start}")
+        raise ValueError(
+            f"unsupported start monomial for {spec.label} semantics: {Polynomial.from_monomial(start)}"
+        )
     # After the first entry, each b adds a y letter and each 3 - b takes
     # the p-branch, if there is one.  Each y letter of the start is one
     # more letter to pick, so it widens every bound by one.

@@ -208,7 +208,7 @@ def gen_stirling_dobinski(n: int, k: int, r: int, s: int) -> int:
     for j in range(k + 1):
         product = 1
         for i in range(1, n + 1):
-            product *= _falling_int(j + (i - 1) * (r - s), s)
+            product *= perm(j + (i - 1) * (r - s), s)
         total += Fraction(product, factorial(j)) * Fraction((-1) ** (k - j), factorial(k - j))
     if total.denominator != 1:
         raise ArithmeticError(f"non-integral series extraction at ({n},{k},{r},{s})")
@@ -216,13 +216,6 @@ def gen_stirling_dobinski(n: int, k: int, r: int, s: int) -> int:
     if not s <= k <= n * s and value != 0:
         raise ArithmeticError(f"nonzero value outside support at ({n},{k},{r},{s})")
     return value
-
-
-def _falling_int(x: int, s: int) -> int:
-    out = 1
-    for i in range(s):
-        out *= x - i
-    return out
 
 
 def gen_bell(n: int, r: int) -> int:

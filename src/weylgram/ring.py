@@ -16,11 +16,15 @@ pure function, so values can be shared freely.
 The canonical text rendering (terms in graded-lex ascending order,
 explicit ``*`` between factors, ``^`` for powers, rationals as ``a/b``)
 is the golden-file format; ``parse_polynomial`` reads it back, and also
-accepts implicit multiplication by juxtaposition.
+accepts implicit multiplication by juxtaposition.  ``parse_rules`` reads
+grammar rule lists ``sym -> poly; ...`` with the same lexer and
+expression rules, so this module alone knows the text syntax; every
+ParseError names the line:col where the text goes wrong.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -340,177 +344,179 @@ def render_scaled(coeff: Polynomial, factor: str) -> str:
 # -- tokenizer / parser -------------------------------------------------
 
 
-class Token:
-    __slots__ = ("kind", "value", "line", "col")
-
-    def __init__(self, kind: str, value, line: int, col: int):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.col = col
-
-    def __repr__(self) -> str:
-        return f"Token({self.kind}, {self.value!r}, {self.line}:{self.col})"
-
-
 _OPERATORS = ("->", "+", "-", "*", "^", "(", ")", ";")
+_NUMBER = re.compile(r"(\d+)(?:/(\d+))?")  # \d is str.isdecimal
 
 
-def tokenize(text: str) -> list[Token]:
-    """Lex polynomial / grammar-rule text.  ``#`` comments run to end of line."""
-    tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
+def _error(text: str, pos: int, message: str) -> ParseError:
+    """A ParseError naming the line:col of a position in the text."""
+    line = text.count("\n", 0, pos) + 1
+    col = pos - text.rfind("\n", 0, pos)
+    return ParseError(f"{message} at {line}:{col}")
+
+
+def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    """Lex polynomial / grammar-rule text into (kind, value, position)
+    triples, the last of kind "end".  ``#`` comments run to end of line."""
+    tokens: list[tuple[str, object, int]] = []
+    i, n = 0, len(text)
     while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
+        ch, start = text[i], i
         if ch.isspace():
             i += 1
-            col += 1
-            continue
-        if ch == "#":
+        elif ch == "#":
             while i < n and text[i] != "\n":
                 i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            numer = int(text[start:i])
-            if i < n and text[i] == "/" and i + 1 < n and text[i + 1].isdigit():
-                i += 1
-                dstart = i
-                while i < n and text[i].isdigit():
-                    i += 1
-                denom = int(text[dstart:i])
-                if not denom:
-                    raise ParseError(f"zero denominator at {line}:{col}")
-                value = Fraction(numer, denom)
-            else:
-                value = Fraction(numer)
-            tokens.append(Token("num", value, line, col))
-            col += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
+        elif ch.isdecimal():
+            match = _NUMBER.match(text, i)
+            numer, denom = match.groups()
+            if denom is not None and not int(denom):
+                raise _error(text, start, "zero denominator")
+            value = int(numer) if denom is None else Fraction(int(numer), int(denom))
+            tokens.append(("num", value, start))
+            i = match.end()
+        elif ch.isalpha() or ch == "_":
             while i < n and (text[i].isalnum() or text[i] == "_"):
                 i += 1
-            tokens.append(Token("name", text[start:i], line, col))
-            col += i - start
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token(op, op, line, col))
-                i += len(op)
-                col += len(op)
-                break
+            tokens.append(("name", text[start:i], start))
         else:
-            raise ParseError(f"unexpected character {ch!r} at {line}:{col}")
-    tokens.append(Token("end", None, line, col))
+            for op in _OPERATORS:
+                if text.startswith(op, i):
+                    tokens.append((op, op, i))
+                    i += len(op)
+                    break
+            else:
+                raise _error(text, i, f"unexpected character {ch!r}")
+    tokens.append(("end", None, n))
     return tokens
 
 
-class _ExprParser:
-    """Recursive-descent parser for polynomial expressions.
+class _Parser:
+    """Recursive-descent parser over the tokens of one text.
 
-    Grammar: expr := ['-'] term (('+'|'-') term)*
+    Grammar: rules := rule (';' rule)*, with any run of ';' allowed
+                      before, between and after rules
+             rule := name '->' expr
+             expr := ['-'] term (('+'|'-') term)*
              term := factor (['*'] factor)*
              factor := atom ['^' integer]
              atom := number | name | '(' expr ')'
     Juxtaposition of factors multiplies.
     """
 
-    def __init__(self, tokens: Sequence[Token], pos: int = 0):
-        self.tokens = tokens
-        self.pos = pos
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.pos = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.tokens[self.pos][0]
 
-    def next(self) -> Token:
+    def next(self) -> tuple[str, object, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def fail(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(f"{message} at {tok.line}:{tok.col}")
+    def accept(self, kind: str) -> bool:
+        """Step over the next token if it is of this kind; whether it was."""
+        if self.tokens[self.pos][0] != kind:
+            return False
+        self.pos += 1
+        return True
+
+    def fail(self, message: str, index: int | None = None) -> ParseError:
+        """A ParseError at a token, by default the next one."""
+        return _error(self.text, self.tokens[self.pos if index is None else index][2], message)
+
+    def parse_rules(self) -> dict[str, Polynomial]:
+        rules: dict[str, Polynomial] = {}
+        while True:
+            while self.accept(";"):
+                pass
+            if self.peek() == "end":
+                break
+            lhs = self.pos
+            kind, name, _ = self.next()
+            if kind != "name":
+                raise self.fail("expected rule symbol", lhs)
+            if not self.accept("->"):
+                raise self.fail("expected '->'")
+            if self.peek() in (";", "end"):
+                raise self.fail("empty rule image")
+            image = self.parse_top()
+            if name in rules:
+                raise self.fail(f"duplicate left-hand side {name!r}", lhs)
+            rules[name] = image
+            if self.peek() not in (";", "end"):
+                raise self.fail("expected ';' between rules")
+        if not rules:
+            raise ParseError("empty rule set")
+        return rules
 
     def parse_top(self) -> Polynomial:
         """parse_expr, with nesting too deep for Python's recursion limit
         reported as a ParseError at the expression's first token."""
-        tok = self.peek()
+        first = self.pos
         try:
             return self.parse_expr()
         except RecursionError:
-            raise ParseError(f"expression nested too deeply at {tok.line}:{tok.col}") from None
+            raise self.fail("expression nested too deeply", first) from None
 
     def parse_expr(self) -> Polynomial:
-        negate = False
-        if self.peek().kind == "-":
-            self.next()
-            negate = True
+        negate = self.accept("-")
         result = self.parse_term()
         if negate:
             result = -result
-        while self.peek().kind in ("+", "-"):
-            op = self.next().kind
+        while self.peek() in ("+", "-"):
+            op = self.next()[0]
             term = self.parse_term()
             result = result + term if op == "+" else result - term
         return result
 
     def parse_term(self) -> Polynomial:
         result = self.parse_factor()
-        while True:
-            kind = self.peek().kind
-            if kind == "*":
-                self.next()
-                result = result * self.parse_factor()
-            elif kind in ("num", "name", "("):
-                result = result * self.parse_factor()
-            else:
-                return result
+        while self.peek() in ("*", "num", "name", "("):
+            self.accept("*")
+            result = result * self.parse_factor()
+        return result
 
     def parse_factor(self) -> Polynomial:
         base = self.parse_atom()
-        if self.peek().kind == "^":
-            self.next()
-            tok = self.peek()
-            if tok.kind != "num" or tok.value.denominator != 1:
+        if self.accept("^"):
+            kind, value, _ = self.tokens[self.pos]
+            if kind != "num" or value.denominator != 1:
                 raise self.fail("expected nonnegative integer exponent")
-            self.next()
-            base = base ** int(tok.value)
+            self.pos += 1
+            base = base ** int(value)
         return base
 
     def parse_atom(self) -> Polynomial:
-        tok = self.peek()
-        if tok.kind == "num":
-            self.next()
-            return Polynomial.rational(tok.value)
-        if tok.kind == "name":
-            self.next()
-            return Polynomial.symbol(tok.value)
-        if tok.kind == "(":
-            self.next()
+        kind, value, _ = self.next()
+        if kind == "num":
+            return Polynomial.rational(value)
+        if kind == "name":
+            return Polynomial.symbol(value)
+        if kind == "(":
             inner = self.parse_expr()
-            if self.peek().kind != ")":
+            if not self.accept(")"):
                 raise self.fail("expected ')'")
-            self.next()
             return inner
-        raise self.fail("expected number, symbol or '('")
+        raise self.fail("expected number, symbol or '('", self.pos - 1)
 
 
 def parse_polynomial(text: str) -> Polynomial:
-    parser = _ExprParser(tokenize(text))
+    parser = _Parser(text)
     result = parser.parse_top()
-    if parser.peek().kind != "end":
+    if parser.peek() != "end":
         raise parser.fail("unexpected trailing input")
     return result
+
+
+def parse_rules(text: str) -> dict[str, Polynomial]:
+    """Parse the rule list ``sym -> poly ; sym -> poly ; ...`` into a
+    {symbol: image} map."""
+    return _Parser(text).parse_rules()
 
 
 # -- falling-factorial basis --------------------------------------------

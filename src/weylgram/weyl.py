@@ -96,7 +96,7 @@ class WeylWord:
                 if i < len(s) and s[i] == "^":
                     i += 1
                     start = i
-                    while i < len(s) and s[i].isdigit():
+                    while i < len(s) and s[i].isdecimal():
                         i += 1
                     if start == i:
                         raise ParseError(f"missing repetition count in word {text!r}")

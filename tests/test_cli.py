@@ -267,6 +267,21 @@ def test_usage_errors_exit_2(capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["derive", "--grammar", "x -> x*y; y -> y", "--start", "²", "--steps", "1"], "unexpected character '²' at 1:1"),
+        (["normal-order", "--word", "(ca)^²"], "missing repetition count in word '(ca)^²'"),
+    ],
+    ids=["derive", "normal-order"],
+)
+def test_non_decimal_digits_are_parse_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"weylgram: error: {message}"
+
+
 def test_main_builds_the_parser_once_per_process(capsys):
     build_parser.cache_clear()
     assert run_cli(capsys, "rook", "--board", "1,1,3,3") == (0, "1,8,14,4,0\n")

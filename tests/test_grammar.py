@@ -291,10 +291,10 @@ def test_generation_unsupported_pairs():
         (PGRAM, {"x": 1}, 2, STIRLING_FAMILY, "grammar does not match the plain generation semantics"),
         ("x -> 2*x*y; y -> y", {"x": 1}, 2, STIRLING_FAMILY, "grammar does not match the plain generation semantics"),
         ("x -> y*x + x*y; y -> y", {"x": 1}, 2, P_FAMILY, "grammar does not match the weighted generation semantics"),
-        (STIRLING, {"y": 2}, 2, STIRLING_FAMILY, "unsupported start monomial for plain semantics: (('y', 2),)"),
-        (STIRLING, {"x": 1, "y": 2}, 2, STIRLING_FAMILY, "unsupported start monomial for plain semantics: (('x', 1), ('y', 2))"),
-        (PGRAM, {"x": 1, "y": 1}, 2, P_FAMILY, "unsupported start monomial for weighted semantics: (('x', 1), ('y', 1))"),
-        (PGRAM, {"x": 2}, 2, P_FAMILY, "unsupported start monomial for weighted semantics: (('x', 2),)"),
+        (STIRLING, {"y": 2}, 2, STIRLING_FAMILY, "unsupported start monomial for plain semantics: y^2"),
+        (STIRLING, {"x": 1, "y": 2}, 2, STIRLING_FAMILY, "unsupported start monomial for plain semantics: x*y^2"),
+        (PGRAM, {"x": 1, "y": 1}, 2, P_FAMILY, "unsupported start monomial for weighted semantics: x*y"),
+        (PGRAM, {"x": 2}, 2, P_FAMILY, "unsupported start monomial for weighted semantics: x^2"),
     ]:
         if isinstance(grammar, str):
             grammar = parse_grammar(grammar)

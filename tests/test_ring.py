@@ -161,6 +161,14 @@ PARSE_ERRORS = [
     (parse_grammar, "   # nothing here", "empty rule set"),
     (parse_grammar, ";;", "empty rule set"),
     (parse_grammar, "", "empty rule set"),
+    # the end of text lies past a trailing comment
+    (parse_polynomial, "x + # c", "expected number, symbol or '(' at 1:8"),
+    (parse_polynomial, "x +\n# c", "expected number, symbol or '(' at 2:4"),
+    (parse_grammar, "x -> y;\ny -> # c", "empty rule image at 2:9"),
+    # '²' is a digit but not a decimal digit, which int() needs
+    (parse_polynomial, "²", "unexpected character '²' at 1:1"),
+    (parse_polynomial, "x + 2²", "unexpected character '²' at 1:6"),
+    (parse_polynomial, "1/²", "unexpected character '/' at 1:2"),
 ]
 
 
@@ -169,6 +177,11 @@ def test_parse_error_messages(parse, text, message):
     with pytest.raises(ParseError) as info:
         parse(text)
     assert str(info.value) == message
+
+
+def test_numbers_are_decimal_digits_and_names_may_hold_others():
+    assert parse_polynomial("x²") == sym("x²")
+    assert parse_polynomial("\u0663/\u0664 x") == X.scale(Fraction(3, 4))  # Arabic-Indic digits
 
 
 def test_falling_factorial_basis_examples():

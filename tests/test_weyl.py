@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from weylgram.numbers import bell, stirling2, stirling_p
-from weylgram.ring import sym
+from weylgram.ring import ParseError, sym
 from weylgram.weyl import (
     Contraction,
     ContractionStats,
@@ -36,6 +36,9 @@ def test_word_parsing():
         WeylWord.parse("(ca")
     with pytest.raises(ValueError):
         WeylWord("xyz")
+    assert WeylWord.parse("(ca)^\u0663").letters == "cacaca"  # Arabic-Indic 3
+    with pytest.raises(ParseError, match=r"^missing repetition count in word '\(ca\)\^²'$"):
+        WeylWord.parse("(ca)^²")  # a digit, but not a decimal digit
 
 
 def test_all_words_order_is_pinned():
