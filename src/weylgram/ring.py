@@ -14,8 +14,14 @@ Everything is immutable after construction and every operation is a
 pure function, so values can be shared freely.
 
 The canonical text rendering (terms in graded-lex ascending order,
-explicit ``*`` between factors, ``^`` for powers, rationals as ``a/b``)
-is the golden-file format; ``parse_polynomial`` reads it back, and also
+explicit ``*`` between factors, ``^`` for powers, rationals as ``a/b``,
+a constant as its value) is the golden-file format.  ``_graded_lex``
+gives that order to both ``sorted_terms`` and ``render_polynomial``:
+one packed integer key per monomial, the degree in the top field and
+the exponents below it in name order, each field as wide as the largest
+exponent's bit length, so integer order is graded-lex order; a
+polynomial in one symbol sorts by its exponent instead.
+``parse_polynomial`` reads the text back, and also
 accepts implicit multiplication by juxtaposition.  ``parse_rules`` reads
 grammar rule lists ``sym -> poly; ...`` with the same lexer and
 expression rules, so this module alone knows the text syntax; every
@@ -159,13 +165,7 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[Monomial, Rational]]:
         """Terms in canonical order: graded lex, ascending."""
-        names = sorted(self.symbols())
-
-        def key(mono: Monomial) -> tuple[int, tuple[int, ...]]:
-            exps = dict(mono)
-            return (monomial_degree(mono), tuple(exps.get(n, 0) for n in names))
-
-        return [(m, self._terms[m]) for m in sorted(self._terms, key=key)]
+        return _graded_lex(self._terms)
 
     def coefficients_in(self, name: str) -> dict[int, "Polynomial"]:
         """Group terms by the exponent of one symbol.
@@ -301,27 +301,76 @@ def poly_sum(parts: Iterable[Polynomial]) -> Polynomial:
 # -- rendering ---------------------------------------------------------
 
 
-def _render_monomial(mono: Monomial) -> str:
-    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in mono)
+_ONE_TERMS = {ONE_MONOMIAL: 1}
+
+
+def _graded_lex(terms: Mapping[Monomial, Rational]) -> list[tuple[Monomial, Rational]]:
+    """The (monomial, coefficient) pairs of a term map in graded-lex
+    ascending order: by degree, then by the exponents in name order.
+
+    A single term is returned as is, and a polynomial in one symbol sorts
+    by that symbol's exponent.  Any other polynomial sorts by one packed
+    integer per monomial (Monagan & Pearce, CASC 2007): the degree sits
+    in the top field and the exponents below it, the first name highest.
+    Each field is as wide as the bit length of the largest exponent, so no
+    field carries into the next and integer order is graded-lex order.
+    """
+    items = list(terms.items())
+    if len(items) < 2:
+        return items
+    names: set[str] = set()
+    largest = 0
+    for mono in terms:
+        for name, exp in mono:
+            names.add(name)
+            if exp > largest:
+                largest = exp
+    if len(names) == 1:
+        # (), ((x, 1),), ((x, 2),), ... compare as tuples by exponent
+        items.sort()
+        return items
+    width = largest.bit_length()
+    degree = 1 << width * len(names)
+    # a factor name^e adds e to the degree field and e to name's field
+    weight = {name: degree | 1 << width * i for i, name in enumerate(sorted(names, reverse=True))}
+
+    def key(item: tuple[Monomial, Rational]) -> int:
+        packed = 0
+        for name, exp in item[0]:
+            packed += weight[name] * exp
+        return packed
+
+    items.sort(key=key)
+    return items
+
+
+def _factor_text(factor: tuple[str, int]) -> str:
+    name, exp = factor
+    return name if exp == 1 else f"{name}^{exp}"
 
 
 def render_polynomial(p: Polynomial) -> str:
-    """Canonical rendering; deterministic and re-parseable."""
-    if p.is_zero():
+    """Canonical rendering; deterministic and re-parseable.  A constant
+    renders as its value."""
+    terms = p._terms
+    if not terms:
         return "0"
+    if len(terms) == 1 and ONE_MONOMIAL in terms:
+        return str(terms[ONE_MONOMIAL])
     parts: list[str] = []
-    for mono, coeff in p.sorted_terms():
-        mag = -coeff if coeff < 0 else coeff
-        if mono == ONE_MONOMIAL:
-            body = str(mag)
-        elif mag == 1:
-            body = _render_monomial(mono)
+    for mono, coeff in _graded_lex(terms):
+        if coeff < 0:
+            parts.append(" - ")
+            coeff = -coeff
         else:
-            body = f"{mag}*{_render_monomial(mono)}"
-        if not parts:
-            parts.append(f"-{body}" if coeff < 0 else body)
-        else:
-            parts.append(f" - {body}" if coeff < 0 else f" + {body}")
+            parts.append(" + ")
+        if not mono:
+            parts.append(str(coeff))
+            continue
+        if coeff != 1:
+            parts.append(f"{coeff}*")
+        parts.append("*".join(map(_factor_text, mono)))
+    parts[0] = "" if parts[0] == " + " else "-"
     return "".join(parts)
 
 
@@ -333,7 +382,7 @@ def render_scaled(coeff: Polynomial, factor: str) -> str:
     """
     if not factor:
         return render_polynomial(coeff)
-    if coeff == Polynomial.one():
+    if coeff._terms == _ONE_TERMS:
         return factor
     text = render_polynomial(coeff)
     if " + " in text or " - " in text or text.startswith("-"):

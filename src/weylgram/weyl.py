@@ -15,8 +15,14 @@ every input, from the CLI or from a library caller.  The words and
 contractions that this module builds itself (``WeylWord.ca_power``,
 ``all_words``, ``enumerate_contractions``) are valid by construction and
 go through each class's private ``_trusted`` builder, which checks
-nothing; tests/test_weyl_properties.py checks that every one of them
-passes the public constructor unchanged.
+nothing.  So do the normal forms built from integer tallies:
+``normal_order`` and ``wick_sum`` count positive ints, and
+``NormalForm._trusted`` wraps each as a constant polynomial, while the
+public ``NormalForm(...)`` keeps every check.
+tests/test_weyl_properties.py checks that every one of them passes the
+public constructor unchanged.  ``WeylWord.parse`` checks the whole text
+and sums the word's length from its repetition counts before it builds
+anything; more than ``MAX_WORD_LETTERS`` letters is a ParseError.
 
 ``enumerate_contractions`` and ``wick_sum`` share one walker,
 ``_contraction_nodes``.  Each node it yields carries a contraction's
@@ -39,6 +45,7 @@ suite in verify.py).
 from __future__ import annotations
 
 import itertools
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -46,10 +53,23 @@ from math import comb, factorial
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
-from .ring import Monomial, ParseError, Polynomial, monomial, poly_sum, render_scaled
+from .ring import (
+    ONE_MONOMIAL,
+    Monomial,
+    ParseError,
+    Polynomial,
+    _from_clean,
+    monomial,
+    poly_sum,
+    render_scaled,
+)
 
 ANNIHILATION = "a"
 CREATION = "c"
+
+# The longest word WeylWord.parse builds: 2**31 letters, 2 GiB as a str.
+MAX_WORD_LETTERS = 2**31
+_LETTER_RUN = re.compile(f"[{ANNIHILATION}{CREATION}]+")
 
 
 @dataclass(frozen=True)
@@ -75,15 +95,20 @@ class WeylWord:
 
     @staticmethod
     def parse(text: str) -> "WeylWord":
-        """Parse word syntax: letters with optional ``(...)^n`` repetition."""
+        """Parse word syntax: letters with optional ``(...)^n`` repetition.
+
+        The whole text is checked before anything is built, and a word of
+        more than MAX_WORD_LETTERS letters, its length summed from the
+        repetition counts, is a ParseError rather than an allocation."""
         s = text.replace(" ", "").lower()
-        out: list[str] = []
+        pieces: list[tuple[str, int]] = []  # (letters, repetitions)
         i = 0
         while i < len(s):
             ch = s[i]
             if ch in (ANNIHILATION, CREATION):
-                out.append(ch)
-                i += 1
+                run = _LETTER_RUN.match(s, i)
+                pieces.append((run.group(), 1))
+                i = run.end()
             elif ch == "(":
                 close = s.find(")", i)
                 if close == -1:
@@ -101,10 +126,15 @@ class WeylWord:
                     if start == i:
                         raise ParseError(f"missing repetition count in word {text!r}")
                     reps = int(s[start:i])
-                out.append(group * reps)
+                pieces.append((group, reps))
             else:
                 raise ParseError(f"unexpected character {ch!r} in word {text!r}")
-        return WeylWord("".join(out))
+        size = sum([len(group) * reps for group, reps in pieces])
+        if size > MAX_WORD_LETTERS:
+            raise ParseError(
+                f"word {text!r} has {size} letters, more than the limit of {MAX_WORD_LETTERS}"
+            )
+        return WeylWord("".join([group * reps for group, reps in pieces]))
 
     @staticmethod
     def ca_power(n: int) -> "WeylWord":
@@ -138,6 +168,16 @@ class NormalForm:
                 if not poly.is_zero():
                     clean[key] = poly
         self._terms = clean
+
+    @classmethod
+    def _trusted(cls, tally: Iterable[tuple[tuple[int, int], int]]) -> "NormalForm":
+        """A normal form from ((creation, annihilation), count) pairs whose
+        keys the caller guarantees to be distinct and whose counts to be
+        positive ints; each count is wrapped as a constant polynomial
+        without the public constructor's checks."""
+        self = object.__new__(cls)
+        self._terms = {key: _from_clean({ONE_MONOMIAL: n}) for key, n in tally}
+        return self
 
     @staticmethod
     def identity() -> "NormalForm":
@@ -291,7 +331,7 @@ def wick_sum(word: WeylWord) -> NormalForm:
     """Normal form as the sum of double-dot images over all contractions:
     c^(#c - e) a^(#a - e) counts the contractions with e edges."""
     counts = Counter(map(itemgetter(1), _contraction_nodes(word.letters)))
-    return NormalForm({_double_dot_key(word, e): n for e, n in counts.items()})
+    return NormalForm._trusted((_double_dot_key(word, e), n) for e, n in counts.items())
 
 
 def _deformed_tally(letters: str) -> dict[tuple[int, int], int]:
@@ -374,7 +414,7 @@ def _rewrite_terms(letters: str) -> tuple[tuple[tuple[int, int], int], ...]:
 def normal_order(word: WeylWord) -> NormalForm:
     """Normal form by rewriting the word left to right with
     a*c = c*a + 1; coefficients are nonnegative integers."""
-    return NormalForm(dict(_rewrite_terms(word.letters)))
+    return NormalForm._trusted(_rewrite_terms(word.letters))
 
 
 def nf_multiply(a: NormalForm, b: NormalForm) -> NormalForm:

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from weylgram import weyl
 from weylgram.numbers import bell, stirling2, stirling_p
 from weylgram.ring import ParseError, sym
 from weylgram.weyl import (
@@ -39,6 +40,30 @@ def test_word_parsing():
     assert WeylWord.parse("(ca)^\u0663").letters == "cacaca"  # Arabic-Indic 3
     with pytest.raises(ParseError, match=r"^missing repetition count in word '\(ca\)\^²'$"):
         WeylWord.parse("(ca)^²")  # a digit, but not a decimal digit
+
+
+def test_word_length_is_checked_before_the_word_is_built(monkeypatch):
+    # 2 * 10^11 letters: building the word would ask for 200 GB at once.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=r"has 200000000000 letters, more than the limit of 2147483648$"):
+            WeylWord.parse("(ca)^100000000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    with pytest.raises(ParseError, match=r"has 200000000000000000000 letters"):
+        WeylWord.parse("(ca)^100000000000000000000")
+    # A syntax error anywhere in the text wins over the length.
+    with pytest.raises(ParseError, match=r"^unexpected character 'x' in word"):
+        WeylWord.parse("(ca)^100000000000000000000x")
+    with pytest.raises(ParseError, match=r"^bad group 'cb' in word"):
+        WeylWord.parse("(ca)^100000000000000000000(cb)")
+    # The limit itself is allowed; one letter more is not.
+    monkeypatch.setattr(weyl, "MAX_WORD_LETTERS", 10)
+    assert WeylWord.parse("a(ca)^4c").letters == "acacacacac"
+    with pytest.raises(ParseError, match=r"^word 'a\(ca\)\^5' has 11 letters, more than the limit of 10$"):
+        WeylWord.parse("a(ca)^5")
 
 
 def test_all_words_order_is_pinned():

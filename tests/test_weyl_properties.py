@@ -5,9 +5,9 @@ word's Ferrers board (Varvak) are independent routes to the same counts,
 and the transfer-matrix tally behind the p-form equals the contraction
 walker's.
 
-The words and contractions the program builds itself skip the checks of
-the public constructors; here each of them must pass those checks
-unchanged, with its edges already sorted."""
+The words, contractions and integer normal forms the program builds
+itself skip the checks of the public constructors; here each of them
+must pass those checks unchanged, with its edges already sorted."""
 
 from collections import Counter
 
@@ -17,11 +17,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from weylgram.numbers import FerrersBoard, rook_numbers
+from weylgram.ring import Polynomial
 from weylgram.weyl import (
     Contraction,
+    NormalForm,
     WeylWord,
     _contraction_nodes,
     _deformed_tally,
+    _rewrite_terms,
     all_words,
     enumerate_contractions,
     normal_order,
@@ -93,3 +96,22 @@ def test_every_listed_word_is_valid():
     for length in range(7):
         for word in all_words(length):
             assert WeylWord(word.letters) == word
+
+
+@PROPERTY
+@given(words)
+def test_integer_normal_forms_equal_the_public_constructors(word):
+    # The tallies each route counts, built again through NormalForm(...).
+    creations, annihilations = word.count("c"), word.count("a")
+    edge_counts = Counter(node[1] for node in _contraction_nodes(word.letters))
+    wick_tally = {(creations - e, annihilations - e): n for e, n in edge_counts.items()}
+    for form, tally in (
+        (normal_order(word), dict(_rewrite_terms(word.letters))),
+        (wick_sum(word), wick_tally),
+    ):
+        assert form == NormalForm(tally)
+        assert str(form) == str(NormalForm(tally))
+        for coeff in form.terms().values():
+            assert isinstance(coeff, Polynomial)
+            assert list(coeff.terms()) == [()]
+            assert type(coeff.constant_value()) is int
