@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .ring import (
     Monomial,
@@ -215,19 +215,45 @@ def growth_sequences(family: str, length: int, offset: int = 0) -> list[tuple[in
     in lexicographic order.  offset is added to every bound; the plain
     semantics started from x (rather than x*y) walks with offset -1.
 
-    Built level by level: the sequences of length k + 1 are the
-    lexicographically ordered length-k prefixes, each extended by every
-    entry from 1 up to its bound, so the order stays lexicographic and
-    nothing recurses.  Only the last two levels are held at once.
+    This is the last level of ``_growth_levels`` with tuple entries;
+    only the last two levels are held at once.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
+    level = None
+    for level in _growth_levels(family, length, offset, unit=tuple):
+        pass
+    return level
+
+
+def _growth_levels(family: str, length: int, offset: int = 0, *, unit: type) -> Iterator[list]:
+    """The lists of all sequences of the family of length 1, 2, ...,
+    length (none if length < 1), each in lexicographic order, with
+    offset added to every bound as in ``growth_sequences``.
+
+    Built level by level: the sequences of length k + 1 are the
+    lexicographically ordered length-k prefixes, each extended by every
+    entry from 1 up to its bound, so the order stays lexicographic and
+    nothing recurses.  unit is the type of a sequence, tuple or bytes:
+    both concatenate with + and count an entry with .count, so one walk
+    serves both.  The one-entry extensions are built once per count c of the
+    bounded entry, when the walk reaches length c, whether or not a
+    prefix holds c of them.  bytes sequences are not tracked by the
+    garbage collector, but hold entries below 256 only: an extension
+    above 255 makes bytes((s,)) raise ValueError, so a walk whose bound
+    reaches 256 fails loudly and never wraps an entry.
+    """
     b = FAMILIES[family].bounded
     top = b + offset + 1  # the growth bound is #b + b, plus the offset
-    level = [(1,)]
-    for _ in range(length - 1):
-        level = [prefix + (s,) for prefix in level for s in range(1, prefix.count(b) + top)]
-    return level
+    # extensions[c]: the entries 1 .. c + top - 1 open to a prefix with c entries b
+    extensions = [[unit((s,)) for s in range(1, top)]]
+    level = [unit((1,))]
+    for k in range(1, length + 1):
+        yield level
+        if k < length:
+            # a length-k prefix holds at most k entries b
+            extensions.append([unit((s,)) for s in range(1, k + top)])
+            level = [prefix + ext for prefix in level for ext in extensions[prefix.count(b)]]
 
 
 @dataclass(frozen=True)

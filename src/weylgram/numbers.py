@@ -24,6 +24,7 @@ from .ring import (
     Polynomial,
     coerce_polynomial,
     falling_factorial,
+    parse_int,
     poly_sum,
     sym,
     to_falling_factorial_basis,
@@ -369,7 +370,8 @@ class FerrersBoard:
         text = text.strip()
         if not text:
             return FerrersBoard(())
-        return FerrersBoard(tuple(int(part) for part in text.split(",")))
+        where = f" in board {text!r}"
+        return FerrersBoard(tuple(parse_int(part, "part", where) for part in text.split(",")))
 
     def __str__(self) -> str:
         return ",".join(str(h) for h in self.heights)

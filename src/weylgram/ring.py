@@ -31,6 +31,7 @@ ParseError names the line:col where the text goes wrong.
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -43,6 +44,24 @@ ONE_MONOMIAL: Monomial = ()
 
 class ParseError(ValueError):
     """Malformed polynomial or grammar text."""
+
+
+def parse_int(text: str, what: str, where: str = "") -> int:
+    """int(text) for a number read from input, with errors of its own.
+    Text that int() rejects is the ParseError "bad <what> '<text>'<where>".
+    Text of more decimal digits than int() converts (the process-wide
+    sys.get_int_max_str_digits(), 4300 by default, read here and never
+    changed) is "<what> of N digits (at most L)<where>" instead of int()'s
+    own message, which names an interpreter setting."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(text) > limit:
+        digits = sum(map(str.isdecimal, text))
+        if digits > limit:
+            raise ParseError(f"{what} of {digits} digits (at most {limit}){where}")
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"bad {what} {text!r}{where}") from None
 
 
 def monomial(exponents: Mapping[str, int]) -> Monomial:
@@ -419,9 +438,16 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         elif ch.isdecimal():
             match = _NUMBER.match(text, i)
             numer, denom = match.groups()
-            if denom is not None and not int(denom):
+            try:
+                numer = parse_int(numer, "number")
+                denom = denom and parse_int(denom, "number")
+            except ParseError as exc:
+                # too many digits: in the numerator if it is still unparsed text
+                run = 1 if isinstance(numer, str) else 2
+                raise _error(text, match.start(run), str(exc)) from None
+            if denom == 0:
                 raise _error(text, start, "zero denominator")
-            value = int(numer) if denom is None else Fraction(int(numer), int(denom))
+            value = numer if denom is None else Fraction(numer, denom)
             tokens.append(("num", value, start))
             i = match.end()
         elif ch.isalpha() or ch == "_":

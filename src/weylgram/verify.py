@@ -13,6 +13,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from math import comb, factorial
 from operator import itemgetter
 from typing import Sequence
@@ -25,6 +26,7 @@ from .grammar import (
     P_FAMILY,
     SHIFT_VARIABLE,
     STIRLING_FAMILY,
+    _growth_levels,
     derive,
     derive_chain,
     derive_n,
@@ -368,22 +370,22 @@ def verify_bijections(max_n: int = SUITES["bijections"].default, count_max_n: in
         )
         report.check(f"start-shift-agreement/n={n}", from_xy, from_x)
 
-    for n in range(1, count_max_n + 1):
-        p_seqs = bijections.enumerate_growth_sequences("P", n)
-        q_seqs = bijections.enumerate_growth_sequences("Q", n)
+    # One walk per family over bytes sequences, read level by level; each
+    # statistic is counted on the enumerated sequences themselves.
+    ones_walk = _growth_levels(STIRLING_FAMILY, count_max_n, unit=bytes)
+    twos_walk = _growth_levels(P_FAMILY, count_max_n, unit=bytes)
+    for n, p_seqs, q_seqs in zip(range(1, count_max_n + 1), ones_walk, twos_walk):
         report.check(f"cardinality-ones-bounded/n={n}", numbers.bell(n), len(p_seqs))
         report.check(f"cardinality-twos-bounded/n={n}", numbers.bell(n), len(q_seqs))
         ones_dist = {k: 0 for k in range(1, n + 1)}
-        for s in p_seqs:
-            ones_dist[s.count(1)] += 1
+        ones_dist.update(Counter(map(bytes.count, p_seqs, repeat(1))))
         report.check(
             f"ones-distribution/n={n}",
             {k: numbers.stirling2(n, k) for k in range(1, n + 1)},
             ones_dist,
         )
         twos_dist = {k: 0 for k in range(n)}
-        for s in q_seqs:
-            twos_dist[s.count(2)] += 1
+        twos_dist.update(Counter(map(bytes.count, q_seqs, repeat(2))))
         report.check(
             f"twos-distribution/n={n}",
             {k: numbers.stirling2(n, k + 1) for k in range(n)},

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -60,6 +61,7 @@ from .ring import (
     Polynomial,
     _from_clean,
     monomial,
+    parse_int,
     poly_sum,
     render_scaled,
 )
@@ -125,14 +127,17 @@ class WeylWord:
                         i += 1
                     if start == i:
                         raise ParseError(f"missing repetition count in word {text!r}")
-                    reps = int(s[start:i])
+                    reps = parse_int(s[start:i], "repetition count", f" in word {text!r}")
                 pieces.append((group, reps))
             else:
                 raise ParseError(f"unexpected character {ch!r} in word {text!r}")
         size = sum([len(group) * reps for group, reps in pieces])
         if size > MAX_WORD_LETTERS:
+            # a size of more digits than str() converts is named by its digit limit
+            limit = sys.get_int_max_str_digits()
+            letters = f"over 10^{limit}" if limit and size >= 10**limit else size
             raise ParseError(
-                f"word {text!r} has {size} letters, more than the limit of {MAX_WORD_LETTERS}"
+                f"word {text!r} has {letters} letters, more than the limit of {MAX_WORD_LETTERS}"
             )
         return WeylWord("".join([group * reps for group, reps in pieces]))
 

@@ -267,13 +267,22 @@ def test_usage_errors_exit_2(capsys):
         capsys.readouterr()
 
 
+NINES = "9" * 5000  # more digits than int() converts (4300 by default)
+GRAMMAR = "x -> x*y; y -> y"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["derive", "--grammar", "x -> x*y; y -> y", "--start", "²", "--steps", "1"], "unexpected character '²' at 1:1"),
+        (["derive", "--grammar", GRAMMAR, "--start", "²", "--steps", "1"], "unexpected character '²' at 1:1"),
         (["normal-order", "--word", "(ca)^²"], "missing repetition count in word '(ca)^²'"),
+        (["normal-order", "--word", f"(ca)^{NINES}"], f"repetition count of 5000 digits (at most 4300) in word '(ca)^{NINES}'"),
+        (["derive", "--grammar", GRAMMAR, "--start", f"x^{NINES}", "--steps", "1"], "number of 5000 digits (at most 4300) at 1:3"),
+        (["derive", "--grammar", GRAMMAR, "--start", f"{NINES}*x", "--steps", "1"], "number of 5000 digits (at most 4300) at 1:1"),
+        (["rook", "--board", NINES], f"part of 5000 digits (at most 4300) in board '{NINES}'"),
+        (["rook", "--board", "2,x"], "bad part 'x' in board '2,x'"),
     ],
-    ids=["derive", "normal-order"],
+    ids=["derive", "normal-order", "long-count", "long-exponent", "long-coefficient", "long-board-part", "board-part"],
 )
 def test_non_decimal_digits_are_parse_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

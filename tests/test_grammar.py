@@ -13,6 +13,7 @@ from weylgram.grammar import (
     Grammar,
     P_FAMILY,
     STIRLING_FAMILY,
+    _growth_levels,
     derive,
     derive_chain,
     derive_n,
@@ -209,12 +210,24 @@ def reference_growth_sequences(family, length, offset=0):
 
 
 @pytest.mark.parametrize("family", [STIRLING_FAMILY, P_FAMILY])
-@pytest.mark.parametrize("offset", [0, -1])
+@pytest.mark.parametrize("offset", [0, -1, 1])
 def test_growth_sequences_match_the_recursive_walk(family, offset):
-    for length in range(1, 10):
-        assert growth_sequences(family, length, offset) == reference_growth_sequences(
-            family, length, offset
-        ), length
+    references = [reference_growth_sequences(family, length, offset) for length in range(1, 10)]
+    for length, reference in enumerate(references, 1):
+        assert growth_sequences(family, length, offset) == reference, length
+    # Every level of the one walk, with tuple and with bytes sequences.
+    assert list(_growth_levels(family, 9, offset, unit=tuple)) == references
+    byte_levels = list(_growth_levels(family, 9, offset, unit=bytes))
+    assert all(type(s) is bytes for level in byte_levels for s in level)
+    assert [[tuple(s) for s in level] for level in byte_levels] == references
+
+
+def test_byte_growth_levels_refuse_entries_above_255():
+    # With offset 254 the second entry of a weighted sequence runs to 256.
+    with pytest.raises(ValueError, match="^bytes must be in range"):
+        list(_growth_levels(P_FAMILY, 2, 254, unit=bytes))
+    assert list(_growth_levels(P_FAMILY, 2, 254, unit=tuple))[-1][-1] == (1, 256)
+    assert list(_growth_levels(P_FAMILY, 2, 252, unit=bytes))[-1][-1] == bytes((1, 254))
 
 
 def test_generation_multiset_from_xy():

@@ -11,6 +11,7 @@ import pytest
 
 import weylgram
 from weylgram.grammar import Grammar, derive_n
+from weylgram.ring import ParseError
 from weylgram.numbers import (
     FerrersBoard,
     SECOND_ORDER_EULERIAN_ROWS,
@@ -269,6 +270,22 @@ def test_rook_numbers():
     assert padded[:3] == [1, 2, 0] and all(v == 0 for v in padded[3:])
     with pytest.raises(ValueError):
         FerrersBoard((3, 1))
+
+
+def test_board_parsing():
+    assert FerrersBoard.parse(" 1, 2 ,+3,1_0 ").heights == (1, 2, 3, 10)
+    assert FerrersBoard.parse("").heights == ()
+    for text, message in [
+        ("2,x", "bad part 'x' in board '2,x'"),
+        ("1,2,,3", "bad part '' in board '1,2,,3'"),
+        ("1,2²", "bad part '2²' in board '1,2²'"),
+        ("9" * 5000, f"part of 5000 digits (at most 4300) in board '{'9' * 5000}'"),
+    ]:
+        with pytest.raises(ParseError) as info:
+            FerrersBoard.parse(text)
+        assert str(info.value) == message
+    with pytest.raises(ValueError, match="^column heights must be >= 0$"):
+        FerrersBoard.parse("-1")
 
 
 def test_rook_numbers_on_a_long_board():

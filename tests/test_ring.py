@@ -120,6 +120,7 @@ def test_parse_errors():
 
 
 DEEP = "(" * 3000 + "x" + ")" * 3000
+NINES = "9" * 5000
 
 # (parser, text, the exact ParseError text) for every message of the
 # lexer, the expression parser and the rule-list parser.
@@ -169,6 +170,12 @@ PARSE_ERRORS = [
     (parse_polynomial, "²", "unexpected character '²' at 1:1"),
     (parse_polynomial, "x + 2²", "unexpected character '²' at 1:6"),
     (parse_polynomial, "1/²", "unexpected character '/' at 1:2"),
+    # more digits than int() converts (4300 by default) name the run
+    (parse_polynomial, NINES, "number of 5000 digits (at most 4300) at 1:1"),
+    (parse_polynomial, "x^" + NINES, "number of 5000 digits (at most 4300) at 1:3"),
+    (parse_polynomial, "x + 3/" + NINES, "number of 5000 digits (at most 4300) at 1:7"),
+    (parse_polynomial, "x + " + NINES + "/3", "number of 5000 digits (at most 4300) at 1:5"),
+    (parse_grammar, "x -> y;\n y -> " + NINES + "*y", "number of 5000 digits (at most 4300) at 2:7"),
 ]
 
 
@@ -177,6 +184,12 @@ def test_parse_error_messages(parse, text, message):
     with pytest.raises(ParseError) as info:
         parse(text)
     assert str(info.value) == message
+
+
+def test_numbers_of_up_to_4300_digits_parse():
+    assert parse_polynomial("9" * 4300 + "/" + "0" * 4299 + "7") == Polynomial.rational(
+        Fraction(int("9" * 4300), 7)
+    )
 
 
 def test_numbers_are_decimal_digits_and_names_may_hold_others():

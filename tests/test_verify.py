@@ -67,6 +67,30 @@ def test_bijections_suite_passes():
     assert any(c.case_id.startswith("twos-distribution") for c in report.cases)
 
 
+@pytest.mark.parametrize("fault", ["drop", "duplicate"])
+def test_bijections_count_check_reads_the_enumerated_sequences(monkeypatch, fault):
+    # The walk yields one faulty level, n = 5, and the correct ones after
+    # it: exactly the count cases of that n fail, for both families.
+    walk = verify._growth_levels
+
+    def faulty(family, length, offset=0, *, unit):
+        for level in walk(family, length, offset, unit=unit):
+            if len(level[0]) == 5:
+                level = level[1:] if fault == "drop" else level + level[-1:]
+            yield level
+
+    monkeypatch.setattr(verify, "_growth_levels", faulty)
+    report = verify_bijections(max_n=1, count_max_n=6)
+    failed = [c.case_id for c in report.cases if not c.passed]
+    assert failed == [
+        "cardinality-ones-bounded/n=5",
+        "cardinality-twos-bounded/n=5",
+        "ones-distribution/n=5",
+        "twos-distribution/n=5",
+    ]
+    assert sum(c.case_id.startswith("cardinality-") for c in report.cases) == 12
+
+
 def test_identities_suite_passes():
     report = verify_identities(max_n=5)
     assert report.passed

@@ -66,6 +66,18 @@ def test_word_length_is_checked_before_the_word_is_built(monkeypatch):
         WeylWord.parse("a(ca)^5")
 
 
+def test_repetition_counts_past_the_int_digit_limit_are_parse_errors():
+    word = "(ca)^" + "9" * 5000
+    with pytest.raises(ParseError) as info:
+        WeylWord.parse(word)
+    assert str(info.value) == f"repetition count of 5000 digits (at most 4300) in word {word!r}"
+    # 4300 digits convert, but the letter count has one digit more than str() converts
+    word = "(ca)^" + "9" * 4300
+    with pytest.raises(ParseError) as info:
+        WeylWord.parse(word)
+    assert str(info.value) == f"word {word!r} has over 10^4300 letters, more than the limit of 2147483648"
+
+
 def test_all_words_order_is_pinned():
     # A failing wick-equals-rewrite or transfer-equals-walker case names
     # the first word that fails, so the order is part of the report.
