@@ -291,6 +291,44 @@ def test_non_decimal_digits_are_parse_errors(capsys, argv, message):
     assert capsys.readouterr().err.splitlines()[-1] == f"weylgram: error: {message}"
 
 
+MISSING = "<missing>"  # replaced by a path under tmp_path that does not exist
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["triangle", "--family", "stirling-p", "--n", "3", "--param", "p=1", "--param", "p=2"], "--param p given twice"),
+        (["triangle", "--family", "stirling-p", "--n", "3", "--param", "p=x"], "--param value must be an integer or 'sym', got 'p=x'"),
+        (["normal-order", "--word", "ca", "--param", "p=x"], "--param value must be an integer or 'sym', got 'p=x'"),
+        (["triangle", "--family", "stirling2", "--n", "3", "--param", "m=1"], "stirling2 takes no parameter m (allowed: none)"),
+        (["derive-chain", "--start", "x"], "need at least one --chain grammar"),
+        (["bijection", "--family", "stirling", "--word", "caca", "--edges", "(2,3"], "--edges must look like '(i,j),(k,l)', got '(2,3'"),
+        (["bijection", "--family", "stirling", "--seq", "1,x"], "--seq must be comma-separated integers, got '1,x'"),
+        (["bijection", "--family", "stirling", "--word", "caca"], "--word needs --edges (possibly empty) to define a contraction"),
+        (["shift", "--grammar", GRAMMAR, "--start", "x", "--order", "-1"], "--order must be >= 0"),
+        (["verify", "--suite", "shift", "--max-n", "3"], "--max-n does not apply to the shift suite; use --order"),
+        (["verify", "--suite", "all", "--order", "11"], "--order must be between 0 and 10 for the shift suite"),
+        (["derive", "--grammar-file", MISSING, "--start", "x", "--steps", "1"], f"[Errno 2] No such file or directory: '{MISSING}'"),
+    ],
+    ids=[
+        "param-twice", "param-not-int", "normal-order-param-not-int", "param-not-allowed", "no-chain",
+        "edges-shape", "seq-not-int", "word-without-edges", "negative-order", "max-n-for-shift",
+        "order-above-cap", "missing-grammar-file",
+    ],
+)
+def test_usage_error_bytes(capsys, monkeypatch, tmp_path, argv, message):
+    # the whole of stderr: the usage line wrapped at 80 columns, then the error
+    monkeypatch.setenv("COLUMNS", "80")
+    missing = str(tmp_path / "missing.txt")
+    argv = [missing if arg == MISSING else arg for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err == build_parser().format_usage() + f"weylgram: error: {message.replace(MISSING, missing)}\n"
+
+
 def test_main_builds_the_parser_once_per_process(capsys):
     build_parser.cache_clear()
     assert run_cli(capsys, "rook", "--board", "1,1,3,3") == (0, "1,8,14,4,0\n")
