@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import weylgram
+from weylgram import cli
 from weylgram.cli import build_parser, main
+from weylgram.numbers import FerrersBoard, rook_numbers, staircase_board
 from weylgram.verify import SUITES
 from weylgram.ring import parse_polynomial
 
@@ -155,6 +158,57 @@ def test_rook_command_on_long_board(capsys):
     assert out.strip() == ",".join(["1"] + ["0"] * 1200)
 
 
+@pytest.mark.parametrize(
+    "board, total",
+    [
+        ((), 1),
+        ((0,) * 1200, 1),
+        ((1, 1, 3, 3), 27),
+        *((staircase_board(n).heights, total) for n, total in ((3, 409), (4, 9089), (5, 272947))),
+    ],
+    ids=["empty", "zeros", "1133", "staircase3", "staircase4", "staircase5"],
+)
+def test_rook_placements_are_counted_without_enumeration(board, total):
+    assert cli._rook_placements(board) == total
+
+
+def test_rook_placements_match_enumeration():
+    rng = random.Random(0)
+    for _ in range(100):
+        heights = tuple(sorted(rng.randint(0, 9) for _ in range(rng.randint(0, 8))))
+        assert cli._rook_placements(heights) == sum(rook_numbers(FerrersBoard(heights))), heights
+
+
+@pytest.mark.parametrize(
+    "board",
+    [staircase_board(6).heights, (12,) * 12, (1, 99999999999999999999), (10**20,) * 60000],
+    ids=["staircase6", "12x12", "huge-height", "many-huge-columns"],
+)
+def test_rook_placements_stop_past_the_limit(board):
+    # staircase_board(6) has 10,515,147 placements, twelve columns of
+    # height 12 about 5.3e10; the count stops at the first column past 10^7
+    assert cli._rook_placements(board) > cli.MAX_ROOK_PLACEMENTS == 10**7
+
+
+@pytest.mark.parametrize(
+    "board", ["1,99999999999999999999", ",".join(["12"] * 12), ",".join(map(str, staircase_board(6).heights))]
+)
+def test_rook_board_above_the_placement_limit_is_a_usage_error(capsys, monkeypatch, board):
+    # rejected by arithmetic on the heights; no placement is enumerated
+    def never(board):
+        raise AssertionError("rook_numbers called")
+
+    monkeypatch.setattr(cli.numbers, "rook_numbers", never)
+    with pytest.raises(SystemExit) as exc:
+        main(["rook", "--board", board])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "weylgram: error: rook --board allows at most 10000000 placements; this board has more"
+    )
+
+
 def test_shift_command(capsys):
     code, out = run_cli(
         capsys, "shift", "--grammar", "x -> x*y; y -> y", "--start", "x", "--order", "2"
@@ -280,9 +334,16 @@ GRAMMAR = "x -> x*y; y -> y"
         (["derive", "--grammar", GRAMMAR, "--start", f"x^{NINES}", "--steps", "1"], "number of 5000 digits (at most 4300) at 1:3"),
         (["derive", "--grammar", GRAMMAR, "--start", f"{NINES}*x", "--steps", "1"], "number of 5000 digits (at most 4300) at 1:1"),
         (["rook", "--board", NINES], f"part of 5000 digits (at most 4300) in board '{NINES}'"),
+        (
+            ["bijection", "--family", "stirling", "--word", "caca", "--edges", f"(2,{NINES})"],
+            f"vertex of 5000 digits (at most 4300) in --edges '(2,{NINES})'",
+        ),
         (["rook", "--board", "2,x"], "bad part 'x' in board '2,x'"),
     ],
-    ids=["derive", "normal-order", "long-count", "long-exponent", "long-coefficient", "long-board-part", "board-part"],
+    ids=[
+        "derive", "normal-order", "long-count", "long-exponent", "long-coefficient", "long-board-part",
+        "long-edge-vertex", "board-part",
+    ],
 )
 def test_non_decimal_digits_are_parse_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

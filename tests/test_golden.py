@@ -12,7 +12,9 @@ listed command fails here.  To grow the corpus, add an entry with only
     PYTHONPATH=src python tests/test_golden.py --record
 
 which fills in the entries that have no recorded values and leaves every
-recorded entry as it is.
+recorded entry as it is.  It records nothing, and exits non-zero naming
+the commands, if a new entry crashes: an exit code other than 0, 1 or 2,
+or a traceback on stderr.
 """
 
 import contextlib
@@ -33,17 +35,23 @@ from weylgram.cli import main
 CORPUS = Path(__file__).with_name("golden") / "cli.json"
 
 
-def run_command(argv):
-    """(exit code, stdout sha256, stderr sha256) of one command."""
+def run_process(argv):
+    """One command run as `python -m weylgram` in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(weylgram.__file__).resolve().parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-m", "weylgram", *argv], capture_output=True, env=env, timeout=120
-    )
+    return subprocess.run([sys.executable, "-m", "weylgram", *argv], capture_output=True, env=env, timeout=120)
+
+
+def digests(done):
+    """(exit code, stdout sha256, stderr sha256) of a finished command."""
     return (
         done.returncode,
         hashlib.sha256(done.stdout).hexdigest(),
         hashlib.sha256(done.stderr).hexdigest(),
     )
+
+
+def run_command(argv):
+    return digests(run_process(argv))
 
 
 def load_corpus():
@@ -99,13 +107,62 @@ def test_corpus_replays_in_one_interpreter(monkeypatch):
     assert mismatched == []
 
 
+def crash(done):
+    """Why a finished command must not be recorded, or None."""
+    if done.returncode not in (0, 1, 2):
+        return f"exit code {done.returncode}"
+    if b"Traceback (most recent call last)" in done.stderr:
+        return "traceback on stderr"
+    return None
+
+
 def record():
     corpus = load_corpus()
     new = [entry for entry in corpus if "exit" not in entry]
     with ThreadPoolExecutor(max_workers=2) as pool:
-        for entry, (code, out, err) in zip(new, pool.map(run_command, [entry["argv"] for entry in new])):
-            entry.update(exit=code, stdout_sha256=out, stderr_sha256=err)
+        runs = list(pool.map(run_process, [entry["argv"] for entry in new]))
+    crashes = [f"{why}: {entry['argv']}" for entry, done in zip(new, runs) if (why := crash(done))]
+    if crashes:
+        sys.exit("nothing recorded; these commands crash:\n" + "\n".join(crashes))
+    for entry, done in zip(new, runs):
+        code, out, err = digests(done)
+        entry.update(exit=code, stdout_sha256=out, stderr_sha256=err)
     CORPUS.write_text(json.dumps(corpus, indent=2) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "code, stderr, why",
+    [
+        (1, b"Traceback (most recent call last):\nOverflowError: too many digits in integer\n", "traceback on stderr"),
+        (-9, b"", "exit code -9"),
+        (3, b"", "exit code 3"),
+    ],
+    ids=["traceback", "killed", "exit-3"],
+)
+def test_record_refuses_to_pin_a_crash(monkeypatch, tmp_path, code, stderr, why):
+    # one crash among clean entries: nothing is written
+    corpus = tmp_path / "cli.json"
+    text = json.dumps([{"argv": ["rook", "--board", "1"]}, {"argv": ["rook", "--board", "2,x"]}], indent=2)
+    corpus.write_text(text, encoding="utf-8")
+    fake = {"1": (code, b"", stderr), "2,x": (2, b"", b"usage: weylgram\nweylgram: error: bad part\n")}
+    monkeypatch.setitem(globals(), "CORPUS", corpus)
+    monkeypatch.setitem(globals(), "run_process", lambda argv: subprocess.CompletedProcess(argv, *fake[argv[-1]]))
+    with pytest.raises(SystemExit) as exc:
+        record()
+    assert exc.value.code == f"nothing recorded; these commands crash:\n{why}: ['rook', '--board', '1']"
+    assert corpus.read_text(encoding="utf-8") == text
+
+
+def test_record_fills_in_clean_entries(monkeypatch, tmp_path):
+    corpus = tmp_path / "cli.json"
+    corpus.write_text(json.dumps([{"argv": ["rook", "--board", "2,x"]}]), encoding="utf-8")
+    monkeypatch.setitem(globals(), "CORPUS", corpus)
+    monkeypatch.setitem(globals(), "run_process", lambda argv: subprocess.CompletedProcess(argv, 2, b"", b"error\n"))
+    record()
+    [entry] = load_corpus()
+    assert (entry["exit"], entry["stdout_sha256"], entry["stderr_sha256"]) == (
+        2, hashlib.sha256(b"").hexdigest(), hashlib.sha256(b"error\n").hexdigest()
+    )
 
 
 if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
