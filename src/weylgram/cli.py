@@ -144,13 +144,8 @@ def _parse_params(pairs: Sequence[str]) -> dict[str, int | str]:
             raise ValueError(f"--param needs KEY=VALUE, got {pair!r}")
         if key in params:
             raise ValueError(f"--param {key} given twice")
-        if value == "sym":
-            params[key] = key
-        else:
-            try:
-                params[key] = int(value)
-            except ValueError:
-                raise ValueError(f"--param value must be an integer or 'sym', got {pair!r}") from None
+        bad = f"--param value must be an integer or 'sym', got {pair!r}"
+        params[key] = key if value == "sym" else parse_int(value, "value", f" in --param {pair!r}", bad)
     return params
 
 
@@ -253,10 +248,8 @@ def _cmd_bijection(args) -> int:
         raise ValueError("give exactly one of --seq or --word (with --edges)")
     to_contraction, to_seq = bijections.family_bijections(args.family)
     if args.seq is not None:
-        try:
-            entries = tuple(int(part) for part in args.seq.split(","))
-        except ValueError:
-            raise ValueError(f"--seq must be comma-separated integers, got {args.seq!r}") from None
+        where, bad = f" in --seq {args.seq!r}", f"--seq must be comma-separated integers, got {args.seq!r}"
+        entries = tuple(parse_int(part, "entry", where, bad) for part in args.seq.split(","))
         seq = GenSequence(entries, args.family)
         contraction = to_contraction(seq)
         shown, keys = contraction, ("sequence", "word", "edges")
@@ -275,56 +268,16 @@ def _cmd_bijection(args) -> int:
     return _emit(args, lambda: str(shown), payload)
 
 
-# rook_numbers enumerates every placement, at about 100 ns each;
-# staircase_board(6) has 10,515,147 and staircase_board(5) 272,947.
-MAX_ROOK_PLACEMENTS = 10**7
-
-
-def _rook_placements(heights: Sequence[int]) -> int:
-    """Non-attacking placements of every size on the Ferrers board of these
-    nondecreasing heights, counted without enumerating them: a column of
-    height h turns r_k into r_k + (h - k + 1) r_(k-1) (Goldman-Joichi-White).
-    The count only grows, so once it passes MAX_ROOK_PLACEMENTS the partial
-    count, already above it, is returned."""
-    r, total = [1], 1
-    for h in heights:
-        r.append(0)
-        for k in range(min(len(r) - 1, h), 0, -1):
-            added = (h - k + 1) * r[k - 1]
-            r[k] += added
-            total += added
-        if total > MAX_ROOK_PLACEMENTS:
-            break
-    return total
-
-
 def _cmd_rook(args) -> int:
     board = numbers.FerrersBoard.parse(args.board)
-    if _rook_placements(board.heights) > MAX_ROOK_PLACEMENTS:
-        raise ValueError(f"rook --board allows at most {MAX_ROOK_PLACEMENTS} placements; this board has more")
-    counts = numbers.rook_numbers(board)
+    counts = numbers.rook_numbers_by_columns(board)
     return _emit(
         args, lambda: ",".join(map(str, counts)), lambda: {"board": str(board), "rook_numbers": counts}
     )
 
 
 def _cmd_verify(args) -> int:
-    run_all = args.suite == "all"
-    names = [name for name, suite in verify.SUITES.items() if suite.in_all] if run_all else [args.suite]
-    if not run_all:
-        own = verify.SUITES[args.suite]
-        for suite in verify.SUITES.values():
-            if suite.budget != own.budget and getattr(args, suite.budget) is not None:
-                raise ValueError(f"{suite.flag} does not apply to the {args.suite} suite; use {own.flag}")
-    budgets: dict[str, int | None] = {}
-    for name in names:
-        suite = verify.SUITES[name]
-        requested = getattr(args, suite.budget)
-        if run_all and suite.budget == "max_n" and requested is not None:
-            # the --max-n that --suite all shares is clamped per suite
-            requested = max(suite.low, min(requested, suite.cap))
-        budgets[name] = requested
-    reports = verify.run_suites(budgets)
+    reports = verify.run_request(args.suite, args.max_n, args.order)
     passed = all(report.passed for report in reports)
     overall = f"overall: {'PASS' if passed else 'FAIL'}"
     return _emit(

@@ -91,9 +91,6 @@ class Grammar:
     def __post_init__(self):
         object.__setattr__(self, "rules", dict(self.rules))
 
-    def rule(self, name: str) -> Polynomial:
-        return self.rules.get(name, Polynomial.zero())
-
     def __str__(self) -> str:
         return "; ".join(f"{name} -> {image}" for name, image in sorted(self.rules.items()))
 

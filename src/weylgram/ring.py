@@ -46,9 +46,10 @@ class ParseError(ValueError):
     """Malformed polynomial or grammar text."""
 
 
-def parse_int(text: str, what: str, where: str = "") -> int:
+def parse_int(text: str, what: str, where: str = "", bad: str = "") -> int:
     """int(text) for a number read from input, with errors of its own.
-    Text that int() rejects is the ParseError "bad <what> '<text>'<where>".
+    Text that int() rejects is the ParseError `bad`, by default
+    "bad <what> '<text>'<where>".
     Text of more decimal digits than int() converts (the process-wide
     sys.get_int_max_str_digits(), 4300 by default, read here and never
     changed) is "<what> of N digits (at most L)<where>" instead of int()'s
@@ -61,7 +62,7 @@ def parse_int(text: str, what: str, where: str = "") -> int:
     try:
         return int(text)
     except ValueError:
-        raise ParseError(f"bad {what} {text!r}{where}") from None
+        raise ParseError(bad or f"bad {what} {text!r}{where}") from None
 
 
 def monomial(exponents: Mapping[str, int]) -> Monomial:

@@ -154,6 +154,29 @@ def run_suite(name: str, budget: int | None = None) -> Report:
     return run_suites({name: budget})[0]
 
 
+def run_request(suite: str, max_n: int | None = None, order: int | None = None) -> list[Report]:
+    """Run `verify --suite <suite>` ("all" or a name in SUITES) with the
+    budgets the command line gave (None where a flag was not given).
+    Before any suite starts it raises ValueError for the flag of a budget
+    that the named suite does not take and for a budget out of range;
+    under "all" a given --max-n is first clamped to each suite's range."""
+    given = {"max_n": max_n, "order": order}
+    if suite != "all":
+        own = SUITES[suite]
+        for other in SUITES.values():
+            if other.budget != own.budget and given[other.budget] is not None:
+                raise ValueError(f"{other.flag} does not apply to the {suite} suite; use {own.flag}")
+        return run_suites({suite: given[own.budget]})
+    budgets = {}
+    for name, each in SUITES.items():
+        if each.in_all:
+            budget = given[each.budget]
+            if each.budget == "max_n" and budget is not None:
+                budget = max(each.low, min(budget, each.cap))
+            budgets[name] = budget
+    return run_suites(budgets)
+
+
 def _csv(values) -> str:
     """Exact, readable rendering of a value list ('1,8,14,4,0')."""
     return ",".join(str(v) for v in values)

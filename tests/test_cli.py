@@ -3,7 +3,6 @@
 import hashlib
 import json
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -158,36 +157,17 @@ def test_rook_command_on_long_board(capsys):
     assert out.strip() == ",".join(["1"] + ["0"] * 1200)
 
 
-@pytest.mark.parametrize(
-    "board, total",
-    [
-        ((), 1),
-        ((0,) * 1200, 1),
-        ((1, 1, 3, 3), 27),
-        *((staircase_board(n).heights, total) for n, total in ((3, 409), (4, 9089), (5, 272947))),
-    ],
-    ids=["empty", "zeros", "1133", "staircase3", "staircase4", "staircase5"],
-)
-def test_rook_placements_are_counted_without_enumeration(board, total):
-    assert cli._rook_placements(board) == total
+def never(board):
+    raise AssertionError("rook_numbers called")
 
 
-def test_rook_placements_match_enumeration():
-    rng = random.Random(0)
-    for _ in range(100):
-        heights = tuple(sorted(rng.randint(0, 9) for _ in range(rng.randint(0, 8))))
-        assert cli._rook_placements(heights) == sum(rook_numbers(FerrersBoard(heights))), heights
-
-
-@pytest.mark.parametrize(
-    "board",
-    [staircase_board(6).heights, (12,) * 12, (1, 99999999999999999999), (10**20,) * 60000],
-    ids=["staircase6", "12x12", "huge-height", "many-huge-columns"],
-)
-def test_rook_placements_stop_past_the_limit(board):
-    # staircase_board(6) has 10,515,147 placements, twelve columns of
-    # height 12 about 5.3e10; the count stops at the first column past 10^7
-    assert cli._rook_placements(board) > cli.MAX_ROOK_PLACEMENTS == 10**7
+@pytest.mark.parametrize("board", ["", "0,0,1,1", "1,1,3,3,5,5,7,7,9,9", "2,2,4,4,6,6,8,8,10,10,11"])
+def test_rook_command_never_enumerates(capsys, monkeypatch, board):
+    # the printed r_k come from the column recurrence, not from rook_numbers;
+    # the last board has 8,999,244 placements, just under the limit
+    expected = ",".join(map(str, rook_numbers(FerrersBoard.parse(board))))
+    monkeypatch.setattr(cli.numbers, "rook_numbers", never)
+    assert run_cli(capsys, "rook", "--board", board) == (0, expected + "\n")
 
 
 @pytest.mark.parametrize(
@@ -195,9 +175,6 @@ def test_rook_placements_stop_past_the_limit(board):
 )
 def test_rook_board_above_the_placement_limit_is_a_usage_error(capsys, monkeypatch, board):
     # rejected by arithmetic on the heights; no placement is enumerated
-    def never(board):
-        raise AssertionError("rook_numbers called")
-
     monkeypatch.setattr(cli.numbers, "rook_numbers", never)
     with pytest.raises(SystemExit) as exc:
         main(["rook", "--board", board])
@@ -353,6 +330,7 @@ def test_non_decimal_digits_are_parse_errors(capsys, argv, message):
 
 
 MISSING = "<missing>"  # replaced by a path under tmp_path that does not exist
+NINES = "9" * 5000  # more digits than int() converts
 
 
 @pytest.mark.parametrize(
@@ -370,11 +348,13 @@ MISSING = "<missing>"  # replaced by a path under tmp_path that does not exist
         (["verify", "--suite", "shift", "--max-n", "3"], "--max-n does not apply to the shift suite; use --order"),
         (["verify", "--suite", "all", "--order", "11"], "--order must be between 0 and 10 for the shift suite"),
         (["derive", "--grammar-file", MISSING, "--start", "x", "--steps", "1"], f"[Errno 2] No such file or directory: '{MISSING}'"),
+        (["bijection", "--family", "stirling", "--seq", "1," + NINES], f"entry of 5000 digits (at most 4300) in --seq '1,{NINES}'"),
+        (["normal-order", "--word", "ca", "--param", "p=" + NINES], f"value of 5000 digits (at most 4300) in --param 'p={NINES}'"),
     ],
     ids=[
         "param-twice", "param-not-int", "normal-order-param-not-int", "param-not-allowed", "no-chain",
         "edges-shape", "seq-not-int", "word-without-edges", "negative-order", "max-n-for-shift",
-        "order-above-cap", "missing-grammar-file",
+        "order-above-cap", "missing-grammar-file", "seq-too-many-digits", "param-too-many-digits",
     ],
 )
 def test_usage_error_bytes(capsys, monkeypatch, tmp_path, argv, message):

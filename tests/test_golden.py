@@ -14,7 +14,7 @@ listed command fails here.  To grow the corpus, add an entry with only
 which fills in the entries that have no recorded values and leaves every
 recorded entry as it is.  It records nothing, and exits non-zero naming
 the commands, if a new entry crashes: an exit code other than 0, 1 or 2,
-or a traceback on stderr.
+a traceback on stderr, or a run past run_process's timeout.
 """
 
 import contextlib
@@ -107,8 +107,18 @@ def test_corpus_replays_in_one_interpreter(monkeypatch):
     assert mismatched == []
 
 
+def run_or_time_out(argv):
+    """run_process(argv), or the TimeoutExpired it raised."""
+    try:
+        return run_process(argv)
+    except subprocess.TimeoutExpired as exc:
+        return exc
+
+
 def crash(done):
-    """Why a finished command must not be recorded, or None."""
+    """Why a command, finished or timed out, must not be recorded, or None."""
+    if isinstance(done, subprocess.TimeoutExpired):
+        return f"timed out after {done.timeout} s"
     if done.returncode not in (0, 1, 2):
         return f"exit code {done.returncode}"
     if b"Traceback (most recent call last)" in done.stderr:
@@ -120,7 +130,7 @@ def record():
     corpus = load_corpus()
     new = [entry for entry in corpus if "exit" not in entry]
     with ThreadPoolExecutor(max_workers=2) as pool:
-        runs = list(pool.map(run_process, [entry["argv"] for entry in new]))
+        runs = list(pool.map(run_or_time_out, [entry["argv"] for entry in new]))
     crashes = [f"{why}: {entry['argv']}" for entry, done in zip(new, runs) if (why := crash(done))]
     if crashes:
         sys.exit("nothing recorded; these commands crash:\n" + "\n".join(crashes))
@@ -131,22 +141,30 @@ def record():
 
 
 @pytest.mark.parametrize(
-    "code, stderr, why",
+    "outcome, why",
     [
-        (1, b"Traceback (most recent call last):\nOverflowError: too many digits in integer\n", "traceback on stderr"),
-        (-9, b"", "exit code -9"),
-        (3, b"", "exit code 3"),
+        ((1, b"", b"Traceback (most recent call last):\nOverflowError: too many digits in integer\n"),
+         "traceback on stderr"),
+        ((-9, b"", b""), "exit code -9"),
+        ((3, b"", b""), "exit code 3"),
+        (subprocess.TimeoutExpired(["python", "-m", "weylgram"], 120), "timed out after 120 s"),
     ],
-    ids=["traceback", "killed", "exit-3"],
+    ids=["traceback", "killed", "exit-3", "timed-out"],
 )
-def test_record_refuses_to_pin_a_crash(monkeypatch, tmp_path, code, stderr, why):
+def test_record_refuses_to_pin_a_crash(monkeypatch, tmp_path, outcome, why):
     # one crash among clean entries: nothing is written
     corpus = tmp_path / "cli.json"
     text = json.dumps([{"argv": ["rook", "--board", "1"]}, {"argv": ["rook", "--board", "2,x"]}], indent=2)
     corpus.write_text(text, encoding="utf-8")
-    fake = {"1": (code, b"", stderr), "2,x": (2, b"", b"usage: weylgram\nweylgram: error: bad part\n")}
+    fake = {"1": outcome, "2,x": (2, b"", b"usage: weylgram\nweylgram: error: bad part\n")}
+
+    def run_process(argv):
+        if isinstance(fake[argv[-1]], Exception):
+            raise fake[argv[-1]]
+        return subprocess.CompletedProcess(argv, *fake[argv[-1]])
+
     monkeypatch.setitem(globals(), "CORPUS", corpus)
-    monkeypatch.setitem(globals(), "run_process", lambda argv: subprocess.CompletedProcess(argv, *fake[argv[-1]]))
+    monkeypatch.setitem(globals(), "run_process", run_process)
     with pytest.raises(SystemExit) as exc:
         record()
     assert exc.value.code == f"nothing recorded; these commands crash:\n{why}: ['rook', '--board', '1']"

@@ -14,6 +14,7 @@ from weylgram.grammar import Grammar, derive_n
 from weylgram.ring import ParseError
 from weylgram.numbers import (
     FerrersBoard,
+    MAX_ROOK_PLACEMENTS,
     SECOND_ORDER_EULERIAN_ROWS,
     bell,
     build_triangle,
@@ -26,6 +27,7 @@ from weylgram.numbers import (
     gen_stirling_recur,
     q_stirling,
     rook_numbers,
+    rook_numbers_by_columns,
     rstirling_bruteforce,
     sf_from_eulerian,
     sf_numbers,
@@ -358,6 +360,44 @@ def test_rook_numbers_match_row_by_row_walk():
     assert len(boards) == 1716
     for heights in boards:
         assert rook_numbers(FerrersBoard(heights)) == reference_rook_numbers(heights), heights
+
+
+@pytest.mark.parametrize(
+    "board, total",
+    [
+        ((), 1),
+        ((0,) * 1200, 1),
+        ((1, 1, 3, 3), 27),
+        *((staircase_board(n).heights, total) for n, total in ((3, 409), (4, 9089), (5, 272947))),
+    ],
+    ids=["empty", "zeros", "1133", "staircase3", "staircase4", "staircase5"],
+)
+def test_rook_numbers_by_columns_count_without_enumeration(board, total):
+    counts = rook_numbers_by_columns(FerrersBoard(board))
+    assert len(counts) == len(board) + 1
+    assert sum(counts) == total
+
+
+def test_rook_numbers_by_columns_match_enumeration():
+    rng = random.Random(0)
+    for _ in range(100):
+        board = FerrersBoard(tuple(sorted(rng.randint(0, 9) for _ in range(rng.randint(0, 8)))))
+        assert rook_numbers_by_columns(board) == rook_numbers(board), board
+
+
+@pytest.mark.parametrize(
+    "board",
+    [staircase_board(6).heights, (12,) * 12, (1, 99999999999999999999), (10**20,) * 60000],
+    ids=["staircase6", "12x12", "huge-height", "many-huge-columns"],
+)
+def test_rook_numbers_by_columns_stop_past_the_limit(board):
+    # staircase_board(6) has 10,515,147 placements, twelve columns of
+    # height 12 about 5.3e10; the walk stops at the first column past 10^7
+    # (60,000 columns of 60,000 rows each would not finish)
+    message = "rook --board allows at most 10000000 placements; this board has more"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rook_numbers_by_columns(FerrersBoard(board))
+    assert MAX_ROOK_PLACEMENTS == 10**7
 
 
 def test_staircase_boards():

@@ -11,6 +11,7 @@ from weylgram.verify import (
     SUITES,
     CaseResult,
     Report,
+    run_request,
     run_suite,
     run_suites,
     verify_bijections,
@@ -146,6 +147,48 @@ def test_run_suite_rejects_budgets_out_of_range_before_starting(monkeypatch):
     # a bad budget anywhere in the list stops the suites listed before it too
     with pytest.raises(ValueError, match="^--order must be between 0 and 10 for the shift suite$"):
         run_suites({"grammar": 3, "rook": None, "shift": 11})
+
+
+def test_run_request_rejects_a_foreign_flag_before_starting(monkeypatch):
+    _refuse_to_start(monkeypatch)
+    flags = {"max_n": "--max-n", "order": "--order"}
+    for name, suite in SUITES.items():
+        (foreign,) = set(flags) - {suite.budget}
+        message = f"{flags[foreign]} does not apply to the {name} suite; use {suite.flag}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_request(name, **{foreign: 3})
+        # the foreign flag is named even when the suite's own is given, in range
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_request(name, **{foreign: 3, suite.budget: suite.default})
+    # a single suite's --max-n is checked against its range, not clamped
+    with pytest.raises(ValueError, match="^--max-n must be between 1 and 4 for the rook suite$"):
+        run_request("rook", max_n=10)
+    with pytest.raises(ValueError, match="^--order must be between 0 and 10 for the shift suite$"):
+        run_request("all", max_n=0, order=11)
+
+
+def test_run_request_clamps_a_shared_max_n_per_suite(monkeypatch):
+    ran = {}
+    for name, suite in SUITES.items():
+        def record(name=name, **budget):
+            ran[name] = budget
+            return Report(name, budget)
+        monkeypatch.setattr(verify, suite.function, record)
+    in_all = {name: suite for name, suite in SUITES.items() if suite.in_all}
+    for max_n, bound in ((0, "low"), (99, "cap")):
+        ran.clear()
+        reports = run_request("all", max_n=max_n)
+        assert [report.suite for report in reports] == list(in_all)
+        assert ran == {
+            name: {suite.budget: getattr(suite, bound) if suite.budget == "max_n" else suite.default}
+            for name, suite in in_all.items()
+        }
+    ran.clear()
+    run_request("all", max_n=3, order=2)
+    assert ran == {name: {suite.budget: 3 if suite.budget == "max_n" else 2} for name, suite in in_all.items()}
+    ran.clear()
+    run_request("all")
+    assert ran == {name: {suite.budget: suite.default} for name, suite in in_all.items()}
 
 
 def test_verify_all_rejects_an_order_out_of_range_before_starting(monkeypatch, capsys):
