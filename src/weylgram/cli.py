@@ -37,6 +37,10 @@ def build_parser() -> argparse.ArgumentParser:
     (each `main` among them) returns that same object.  Callers must not
     mutate it, and handlers must not mutate the lists in the namespace it
     returns: an `append` option's default list is shared by every parse.
+
+    The top-level and `triangle` usages are written out, in the lines
+    argparse wraps them to at 80 columns on Python 3.10-3.12: 3.13 wraps
+    their long choice lists differently, and every usage error prints them.
     """
     parser = argparse.ArgumentParser(
         prog="weylgram",
@@ -52,6 +56,15 @@ def build_parser() -> argparse.ArgumentParser:
     tri.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
     tri.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
     tri.set_defaults(handler=_cmd_triangle)
+    indent = "\n" + " " * len("usage: weylgram triangle ")
+    tri.usage = indent.join(
+        (
+            "%(prog)s [-h] --family",
+            "{" + ",".join(numbers.TRIANGLE_FAMILIES) + "}",
+            "--n N [--k K] [--param KEY=VALUE]",
+            "[--format {plain,json,csv}]",
+        )
+    )
 
     der = sub.add_parser("derive", help="apply the grammar derivative n times")
     _add_grammar_flags(der)
@@ -120,6 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
     shift.add_argument("--format", choices=("plain", "json"), default="plain")
     shift.set_defaults(handler=_cmd_shift)
 
+    # argparse builds each subcommand's prog from the parent's usage, so
+    # this one is set only after every subcommand is added.
+    indent = "\n" + " " * len("usage: weylgram ")
+    parser.usage = indent.join(("%(prog)s [-h]", "{" + ",".join(sub.choices) + "}", "..."))
     return parser
 
 

@@ -6,10 +6,12 @@ sorted tuple of (symbol, exponent) pairs with positive exponents; the
 empty tuple is the constant monomial 1.  Polynomials map monomials to
 nonzero exact rationals, stored as an ``int`` when integral and as a
 ``Fraction`` (denominator not 1) otherwise, so integer arithmetic never
-pays for a gcd.  ``_accumulate`` is the one place that keeps this stored
-form: sums, products, derivatives and substitutions each add their
-(monomial, coefficient) pairs into a term map through it, and
+pays for a gcd.  ``_accumulate`` keeps this stored form wherever terms
+may collide: sums, products, derivatives and substitutions each add
+their (monomial, coefficient) pairs into a term map through it, and
 ``poly_sum`` adds many polynomials into one map in a single pass.
+Where no two terms can meet, a scaling and a product with a one-term
+factor, each product is stored directly, made an int when integral.
 Everything is immutable after construction and every operation is a
 pure function, so values can be shared freely.
 
@@ -218,10 +220,24 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial" | Rational) -> "Polynomial":
         other = coerce_polynomial(other)
+        a, b = self._terms, other._terms
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            # A one-term factor c*m maps each term of the other straight to
+            # its product, in the other's order: times a fixed m distinct
+            # monomials stay distinct, and a product of nonzero rationals
+            # is nonzero, so no two products need adding up.
+            ((mono, coeff),) = a.items()
+            terms = {}
+            for mono_b, coeff_b in b.items():
+                c = coeff_b * coeff
+                terms[monomial_mul(mono_b, mono) if mono else mono_b] = c if type(c) is int else _coerce_coeff(c)
+            return _from_clean(terms)
         pairs = (
             (monomial_mul(mono_a, mono_b), coeff_a * coeff_b)
-            for mono_a, coeff_a in self._terms.items()
-            for mono_b, coeff_b in other._terms.items()
+            for mono_a, coeff_a in a.items()
+            for mono_b, coeff_b in b.items()
         )
         return _from_clean(_accumulate({}, pairs))
 

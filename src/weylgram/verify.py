@@ -26,9 +26,8 @@ from .grammar import (
     P_FAMILY,
     SHIFT_VARIABLE,
     STIRLING_FAMILY,
+    _derivatives,
     _growth_levels,
-    derive,
-    derive_chain,
     derive_n,
     enumerate_generations,
     generation_sum,
@@ -47,16 +46,29 @@ EULERIAN_GRAMMAR = Grammar({"x": X * Y, "y": X * Y})
 SECOND_ORDER_GRAMMAR = Grammar({"x": X**2 * Y, "y": X**2 * Y})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CaseResult:
+    """One compared case: the two values as the suite passed them, and
+    whether the case passed.  The values are rendered with str() only
+    when a report prints them.  A case compares by identity, as the
+    values need not be hashable."""
+
     case_id: str
-    expected: str
-    actual: str
+    expected: object
+    actual: object
     passed: bool
 
 
 @dataclass
 class Report:
+    """The cases of one suite run, in the order they were checked.
+
+    check and info compare at once but keep the two values unrendered:
+    to_dict renders both sides of every case with str(), and table
+    renders only the sides it prints, those of the failing cases.  So a
+    suite must not mutate a value after passing it to check or info.
+    """
+
     suite: str
     params: dict[str, int]
     cases: list[CaseResult] = field(default_factory=list)
@@ -66,11 +78,11 @@ class Report:
         return all(case.passed for case in self.cases)
 
     def check(self, case_id: str, expected, actual) -> None:
-        self.cases.append(CaseResult(case_id, str(expected), str(actual), expected == actual))
+        self.cases.append(CaseResult(case_id, expected, actual, expected == actual))
 
     def info(self, case_id: str, expected, actual) -> None:
         """Informational comparison: recorded but never fails the suite."""
-        self.cases.append(CaseResult(case_id, str(expected), str(actual), True))
+        self.cases.append(CaseResult(case_id, expected, actual, True))
 
     def to_dict(self) -> dict:
         return {
@@ -79,8 +91,8 @@ class Report:
             "cases": [
                 {
                     "id": case.case_id,
-                    "expected": case.expected,
-                    "actual": case.actual,
+                    "expected": str(case.expected),
+                    "actual": str(case.actual),
                     "pass": case.passed,
                 }
                 for case in self.cases
@@ -94,8 +106,8 @@ class Report:
             mark = "PASS" if case.passed else "FAIL"
             lines.append(f"  [{mark}] {case.case_id}")
             if not case.passed:
-                lines.append(f"         expected: {case.expected}")
-                lines.append(f"         actual:   {case.actual}")
+                lines.append(f"         expected: {case.expected!s}")
+                lines.append(f"         actual:   {case.actual!s}")
         verdict = "PASS" if self.passed else "FAIL"
         lines.append(f"  => {verdict} ({sum(c.passed for c in self.cases)}/{len(self.cases)} cases)")
         return "\n".join(lines)
@@ -195,44 +207,60 @@ def _g_qpower(t: int) -> Grammar:
     return Grammar({"x": sym("q") ** t * X + X * Y, "y": Y})
 
 
+def _rr_steps(r: int, max_n: int) -> list[Grammar]:
+    """The odd chain D1 (Dr ... D2 D1)^(max_n - 1) in acting order, with
+    one Grammar per subscript.  Its row for n <= max_n is the partial
+    after (n - 1)*r + 1 steps, where it reaches [1..r]*(n - 1) + [1]."""
+    shifted = {t: _g_shifted(t) for t in range(1, r + 1)}
+    return [shifted[t] for t in list(range(1, r + 1)) * (max_n - 1) + [1]]
+
+
 def verify_grammar_theorems(max_n: int = SUITES["grammar"].default, max_r: int = 4) -> Report:
-    """Derivative route equals oracle route for every grammar theorem."""
+    """Derivative route equals oracle route for every grammar theorem.
+
+    Each family's rows are read from one derivative walk from x:
+    entry k of _derivatives(steps, X, every=True) is x after the first k
+    steps, the first acting first."""
     report = Report("grammar", {"max_n": max_n, "max_r": max_r})
 
+    rows = _derivatives([STIRLING_GRAMMAR] * max_n, X, every=True)
     for n in range(1, max_n + 1):
         expected = X * _row_polynomial([numbers.stirling2(n, k) for k in range(1, n + 2)], 1)
-        report.check(f"stirling-rows/n={n}", expected, derive_n(STIRLING_GRAMMAR, X, n))
+        report.check(f"stirling-rows/n={n}", expected, rows[n])
 
+    rows = _derivatives([P_GRAMMAR] * (max_n - 1), X, every=True)
     for n in range(2, max_n + 1):
         expected = X * _row_polynomial([numbers.stirling_p(n, k) for k in range(1, n + 1)])
-        report.check(f"p-stirling-rows/n={n}", expected, derive_n(P_GRAMMAR, X, n - 1))
+        report.check(f"p-stirling-rows/n={n}", expected, rows[n - 1])
 
     for r in range(2, max_r + 1):
+        # row n applies the subscripts (i - 1)*r - (i - 2) for i = 1..n
+        subscripts = [(i - 1) * r - (i - 2) for i in range(1, max_n + 1)]
+        rows = _derivatives([_g_shifted(t) for t in subscripts], X, every=True)
         for n in range(1, max_n + 1):
-            subscripts = [(i - 1) * r - (i - 2) for i in range(1, n + 1)]
-            chain = [_g_shifted(t) for t in reversed(subscripts)]
             expected = X * _row_polynomial(
                 [numbers.gen_stirling_recur(n, k, r, 1) for k in range(1, n + 1)], 1
             )
-            report.check(f"gen-stirling-s1/r={r}/n={n}", expected, derive_chain(chain, X))
+            report.check(f"gen-stirling-s1/r={r}/n={n}", expected, rows[n])
 
     for r in range(2, max_r + 1):
+        rows = _derivatives(_rr_steps(r, max_n), X, every=True)
         for n in range(1, max_n + 1):
-            applied = list(range(1, r + 1)) * (n - 1) + [1]
-            chain = [_g_shifted(t) for t in reversed(applied)]
             expected = X * _row_polynomial(
                 [numbers.gen_stirling_recur(n, k, r, r) for k in range(r, n * r + 1)], 1
             )
-            report.check(f"gen-stirling-rr/r={r}/n={n}", expected, derive_chain(chain, X))
+            report.check(f"gen-stirling-rr/r={r}/n={n}", expected, rows[(n - 1) * r + 1])
 
+    # row n applies the q-powers 1..n-1, the first acting first
+    rows = _derivatives([_g_qpower(t) for t in range(1, max_n)], X, every=True)
     for n in range(2, max_n + 1):
-        chain = [_g_qpower(t) for t in reversed(range(1, n))]
         expected = X * _row_polynomial([numbers.q_stirling(n, k) for k in range(1, n + 1)])
-        report.check(f"q-stirling-rows/n={n}", expected, derive_chain(chain, X))
+        report.check(f"q-stirling-rows/n={n}", expected, rows[n - 1])
 
+    rows = _derivatives([DOWLING_GRAMMAR] * max_n, X, every=True)
     for n in range(1, max_n + 1):
         expected = X * numbers.dowling_poly(n, "m", "r", var="y")
-        report.check(f"dowling-rows/n={n}", expected, derive_n(DOWLING_GRAMMAR, X, n))
+        report.check(f"dowling-rows/n={n}", expected, rows[n])
 
     m = sym("m")
     sf_grammars = {
@@ -241,28 +269,34 @@ def verify_grammar_theorems(max_n: int = SUITES["grammar"].default, max_r: int =
         "tilde": Grammar({"x": (m - 1) * X + m * X * Y, "y": m * (Y + Y**2)}),
     }
     for variant, grammar in sf_grammars.items():
+        rows = _derivatives([grammar] * max_n, X, every=True)
         for n in range(1, max_n + 1):
             expected = X * _row_polynomial(
                 [numbers.sf_numbers(n, k, "m", variant) for k in range(n + 1)]
             )
-            report.check(f"subset-numbers-{variant}/n={n}", expected, derive_n(grammar, X, n))
+            report.check(f"subset-numbers-{variant}/n={n}", expected, rows[n])
 
     laguerre = Grammar({"x": X * Y + X * Y**2, "y": Y**2})
     bessel = Grammar({"x": X * Y + X * Y**2, "y": Y**3})
+    laguerre_rows = _derivatives([laguerre] * max_n, X, every=True)
+    bessel_rows = _derivatives([bessel] * max_n, X, every=True)
     for n in range(1, max_n + 1):
         expected = X * Y**n * numbers.special_poly("laguerre-square", n, var="y")
-        report.check(f"laguerre-square/n={n}", expected, derive_n(laguerre, X, n))
+        report.check(f"laguerre-square/n={n}", expected, laguerre_rows[n])
         expected = X * Y**n * numbers.special_poly("bessel", n, var="y")
-        report.check(f"bessel/n={n}", expected, derive_n(bessel, X, n))
+        report.check(f"bessel/n={n}", expected, bessel_rows[n])
 
+    rows = _derivatives([EULERIAN_GRAMMAR] * max_n, X, every=True)
     for n in range(1, max_n + 1):
         expected = X * poly_sum(X**k * Y ** (n - k) * numbers.eulerian(n, k) for k in range(n))
-        report.check(f"eulerian-rows/n={n}", expected, derive_n(EULERIAN_GRAMMAR, X, n))
+        report.check(f"eulerian-rows/n={n}", expected, rows[n])
 
-    for n in range(1, min(max_n, max(numbers.SECOND_ORDER_EULERIAN_ROWS)) + 1):
+    last = min(max_n, max(numbers.SECOND_ORDER_EULERIAN_ROWS))
+    rows = _derivatives([SECOND_ORDER_GRAMMAR] * last, X, every=True)
+    for n in range(1, last + 1):
         row = numbers.SECOND_ORDER_EULERIAN_ROWS[n]
         expected = poly_sum(X ** (2 * n - k) * Y ** (k + 1) * row[k] for k in range(len(row)))
-        report.check(f"second-order-eulerian/n={n}", expected, derive_n(SECOND_ORDER_GRAMMAR, X, n))
+        report.check(f"second-order-eulerian/n={n}", expected, rows[n])
 
     return report
 
@@ -366,6 +400,8 @@ def verify_bijections(max_n: int = SUITES["bijections"].default, count_max_n: in
 
     xy = monomial({"x": 1, "y": 1})
     x_mono = monomial({"x": 1})
+    plain_rows = _derivatives([STIRLING_GRAMMAR] * max_n, X * Y, every=True)
+    weighted_rows = _derivatives([P_GRAMMAR] * max_n, X, every=True)
     for n in range(1, max_n + 1):
         records = enumerate_generations(STIRLING_GRAMMAR, xy, n, STIRLING_FAMILY)
         from_sequences = sorted(str(Polynomial.from_monomial(r.monomial)) for r in records)
@@ -374,17 +410,9 @@ def verify_bijections(max_n: int = SUITES["bijections"].default, count_max_n: in
             for c in contractions_of[n + 1]
         )
         report.check(f"multiset-agreement/n={n}", from_sequences, from_contractions)
-        report.check(
-            f"generation-sum-plain/n={n}",
-            derive_n(STIRLING_GRAMMAR, X * Y, n),
-            generation_sum(records),
-        )
+        report.check(f"generation-sum-plain/n={n}", plain_rows[n], generation_sum(records))
         records_p = enumerate_generations(P_GRAMMAR, x_mono, n, P_FAMILY)
-        report.check(
-            f"generation-sum-weighted/n={n}",
-            derive_n(P_GRAMMAR, X, n),
-            generation_sum(records_p),
-        )
+        report.check(f"generation-sum-weighted/n={n}", weighted_rows[n], generation_sum(records_p))
         # (G^n, x) equals (G^(n-1), xy) after dropping the forced first step.
         from_x = sorted(r.sequence.entries for r in enumerate_generations(STIRLING_GRAMMAR, x_mono, n, STIRLING_FAMILY))
         from_xy = sorted(
@@ -525,9 +553,9 @@ def verify_identities(max_n: int = SUITES["identities"].default, seed: int = 202
 
     # the term count of the odd chain result is the generalized Bell number
     for r in range(1, 4):
+        rows = _derivatives(_rr_steps(r, 4), X, every=True)
         for n in range(1, 5):
-            applied = list(range(1, r + 1)) * (n - 1) + [1]
-            result = derive_chain([_g_shifted(t) for t in reversed(applied)], X)
+            result = rows[(n - 1) * r + 1]
             report.check(
                 f"generalized-bell-term-count/r={r}/n={n}",
                 numbers.gen_bell(n, r),
@@ -594,13 +622,10 @@ def verify_identities(max_n: int = SUITES["identities"].default, seed: int = 202
         for _ in range(6):
             u = _random_polynomial(rng)
             v = _random_polynomial(rng)
+            du, dv, duv = (_derivatives([grammar] * 5, a, every=True) for a in (u, v, u * v))
             for n in range(0, 6):
-                lhs = derive_n(grammar, u * v, n)
-                rhs = poly_sum(
-                    derive_n(grammar, u, k) * derive_n(grammar, v, n - k) * comb(n, k)
-                    for k in range(n + 1)
-                )
-                if lhs != rhs:
+                rhs = poly_sum(du[k] * dv[n - k] * comb(n, k) for k in range(n + 1))
+                if duv[n] != rhs:
                     mismatch += 1
         report.check(f"leibniz/{grammar_name}", 0, mismatch)
 
@@ -623,9 +648,8 @@ def verify_rook(max_n: int = SUITES["rook"].default, b_max_n: int = 5) -> Report
     # chain[i] applies D1, D2, D1, ... alternately i times to x: the even
     # chain (D2 D1)^n x is chain[2n], the odd chain D1 (D2 D1)^(n-1) x is
     # chain[2n-1].
-    chain = [X]
-    for i in range(max(2 * max_n, 2 * b_max_n - 1)):
-        chain.append(derive(d2 if i % 2 else d1, chain[-1]))
+    steps = [d2 if i % 2 else d1 for i in range(max(2 * max_n, 2 * b_max_n - 1))]
+    chain = _derivatives(steps, X, every=True)
 
     for n in range(1, max_n + 1):
         coeffs = (chain[2 * n].coefficients_in("x")[1]).coefficients_in("y")

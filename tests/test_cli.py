@@ -370,6 +370,23 @@ def test_usage_error_bytes(capsys, monkeypatch, tmp_path, argv, message):
     assert captured.err == build_parser().format_usage() + f"weylgram: error: {message.replace(MISSING, missing)}\n"
 
 
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+def test_top_level_and_triangle_usages_are_fixed_lines(capsys, monkeypatch, columns):
+    # the lines argparse wraps them to at 80 columns on Python 3.10-3.12,
+    # at any width and on any version
+    monkeypatch.setenv("COLUMNS", columns)
+    commands = "{triangle,derive,derive-chain,normal-order,contractions,bijection,rook,verify,shift}"
+    assert build_parser().format_usage() == f"usage: weylgram [-h]\n{' ' * 16}{commands}\n{' ' * 16}...\n"
+    with pytest.raises(SystemExit):
+        main(["triangle", "--family", "stirling2", "--n", "abc"])
+    indent = "\n" + " " * 25
+    families = "{stirling2,eulerian,second-order-eulerian,stirling-p,q-stirling,gen-stirling,whitney,sf-plain,sf-bar,sf-tilde}"
+    assert capsys.readouterr().err == (
+        f"usage: weylgram triangle [-h] --family{indent}{families}{indent}--n N [--k K] [--param KEY=VALUE]"
+        f"{indent}[--format {{plain,json,csv}}]\nweylgram triangle: error: argument --n: invalid int value: 'abc'\n"
+    )
+
+
 def test_main_builds_the_parser_once_per_process(capsys):
     build_parser.cache_clear()
     assert run_cli(capsys, "rook", "--board", "1,1,3,3") == (0, "1,8,14,4,0\n")

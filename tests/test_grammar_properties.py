@@ -1,5 +1,6 @@
-"""Property tests for the grammar derivative: the Leibniz rule, and the
-packed kernel against the definition D(a) = sum_v (da/dv) * rule(v)."""
+"""Property tests for the grammar derivative: the Leibniz rule, the
+packed kernel against the definition D(a) = sum_v (da/dv) * rule(v), and
+the partial results of one walk against separate chains."""
 
 from math import comb
 
@@ -9,8 +10,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from test_grammar import assert_stored_form, reference_chain, reference_shift
-from weylgram.grammar import Grammar, derive, derive_chain, derive_n, parse_grammar, shift_apply
+from weylgram.grammar import Grammar, _derivatives, derive, derive_chain, derive_n, parse_grammar, shift_apply
 from weylgram.ring import Polynomial, monomial
+from weylgram.verify import (
+    DOWLING_GRAMMAR,
+    EULERIAN_GRAMMAR,
+    P_GRAMMAR,
+    SECOND_ORDER_GRAMMAR,
+    STIRLING_GRAMMAR,
+    _g_qpower,
+    _g_shifted,
+)
 
 STIRLING = parse_grammar("x -> x*y; y -> y")
 DOWLING = parse_grammar("x -> r*x + x*y; y -> m*y")
@@ -65,3 +75,23 @@ def test_chain_matches_definition(chain, a):
     got = derive_chain(chain, a)
     assert got == reference_chain(chain[::-1], a)
     assert_stored_form(got)
+
+
+# the grammars the verify suites chain: shifted, q-power and whole-suite
+chain_grammars = st.one_of(
+    st.integers(1, 9).map(_g_shifted),
+    st.integers(0, 5).map(_g_qpower),
+    st.sampled_from([STIRLING_GRAMMAR, P_GRAMMAR, DOWLING_GRAMMAR, EULERIAN_GRAMMAR, SECOND_ORDER_GRAMMAR]),
+)
+
+
+@PROPERTY
+@given(st.lists(chain_grammars, max_size=6), polynomials("xyzmq"))
+def test_walk_partials_are_the_chains_of_its_prefixes(steps, a):
+    # partial k is the chain of the first k grammars, the first acting first
+    partials = _derivatives(steps, a, every=True)
+    assert len(partials) == len(steps) + 1
+    assert partials[0] == a
+    for k in range(1, len(steps) + 1):
+        assert partials[k] == derive_chain(steps[:k][::-1], a)
+        assert_stored_form(partials[k])

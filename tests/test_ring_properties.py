@@ -2,7 +2,8 @@
 same polynomial, the canonical order and rendering equal a plain
 reference renderer, poly_sum agrees with an independent sum, the ring
 operations obey the ring laws, and the falling-factorial basis converts
-back to the same polynomial, all results kept in stored form."""
+back to the same polynomial, a product with a one-term factor equals
+its term-pair sum, all results kept in stored form."""
 
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from weylgram.ring import (
     Polynomial,
     from_falling_factorial_basis,
     monomial,
+    monomial_mul,
     parse_polynomial,
     poly_sum,
     render_polynomial,
@@ -194,6 +196,41 @@ def test_ring_laws(p, q, r):
     assert p * (q + r) == p * q + p * r
     for result in (p + q, p * q, p * (q + r)):
         assert_stored_form(result)
+
+
+@st.composite
+def one_term_and_polynomial(draw):
+    """A one-term polynomial and a polynomial.  In half the draws the one
+    term's coefficient is k/c for a coefficient c of the other, so that
+    product is the integer k, often from two non-integral Fractions."""
+    p = draw(small_polynomials)
+    coeffs = list(p.terms().values())
+    if coeffs and draw(st.booleans()):
+        coeff = Fraction(draw(st.integers(-5, 5).filter(bool))) / draw(st.sampled_from(coeffs))
+    else:
+        coeff = draw(coefficients)
+    return Polynomial.from_monomial(draw(monomials), coeff), p
+
+
+def term_pair_product(p, q):
+    """p*q as the sum of its term-pair products, in p-major order."""
+    return poly_sum(
+        Polynomial.from_monomial(monomial_mul(mono_p, mono_q), coeff_p * coeff_q)
+        for mono_p, coeff_p in p.terms().items()
+        for mono_q, coeff_q in q.terms().items()
+    )
+
+
+@PROPERTY
+@given(one_term_and_polynomial())
+@example((parse_polynomial("2/3*x"), parse_polynomial("3/2*y + 1/2")))
+@example((parse_polynomial("7"), parse_polynomial("1/7 - 1/7*x")))
+def test_one_term_products_match_the_term_pairs(pair):
+    term, p = pair
+    for product, oracle in ((term * p, term_pair_product(term, p)), (p * term, term_pair_product(p, term))):
+        # the same terms, in the same order, each stored as an int when integral
+        assert list(product.terms().items()) == list(oracle.terms().items())
+        assert_stored_form(product)
 
 
 @LAWS

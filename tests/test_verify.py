@@ -7,6 +7,7 @@ import pytest
 
 from weylgram import verify
 from weylgram.cli import main
+from weylgram.ring import sym
 from weylgram.verify import (
     SUITES,
     CaseResult,
@@ -53,6 +54,22 @@ def test_grammar_suite_passes():
     assert "subset-numbers-tilde/n=5" in ids
     assert "bessel/n=5" in ids
     assert "second-order-eulerian/n=5" in ids
+
+
+def test_grammar_suite_walks_each_family_once(monkeypatch):
+    # 17 families: Stirling, p-Stirling, S_{r,1} and S_{r,r} for r = 2..4,
+    # q-Stirling, Dowling, three subset-number variants, Laguerre, Bessel,
+    # Eulerian and second-order Eulerian.
+    walks = []
+    walk = verify._derivatives
+
+    def counted(steps, a, every=False):
+        walks.append(every)
+        return walk(steps, a, every)
+
+    monkeypatch.setattr(verify, "_derivatives", counted)
+    assert verify_grammar_theorems(10).passed
+    assert walks == [True] * 17
 
 
 def test_weyl_suite_passes():
@@ -210,6 +227,76 @@ def test_reports_are_deterministic():
     parsed = json.loads(a)
     assert parsed["suite"] == "rook"
     assert parsed["pass"] is True
+
+
+class Unprintable:
+    """A value that compares equal to its kind and refuses to render."""
+
+    def __eq__(self, other):
+        return isinstance(other, Unprintable)
+
+    __hash__ = None
+
+    def __str__(self):
+        raise AssertionError("a passing case was rendered")
+
+
+def test_table_renders_only_the_failing_cases():
+    report = Report("demo", {})
+    report.check("quiet", Unprintable(), Unprintable())
+    report.info("quiet-info", Unprintable(), Unprintable())
+    report.check("loud", sym("x") * sym("x"), sym("x"))
+    assert report.table() == "\n".join([
+        "suite demo ()",
+        "  [PASS] quiet",
+        "  [PASS] quiet-info",
+        "  [FAIL] loud",
+        "         expected: x^2",
+        "         actual:   x",
+        "  => FAIL (2/3 cases)",
+    ])
+    # cases hash by identity, whatever their values
+    assert len(set(report.cases)) == 3
+
+
+def test_to_dict_renders_every_case():
+    x = sym("x")
+    report = Report("demo", {})
+    report.check("poly", x * x, x**2)
+    report.check("list", [1, 2], [1, 2])
+    report.info("dict (informational)", {1: 2}, "text")
+    cases = report.to_dict()["cases"]
+    assert [(c["expected"], c["actual"], c["pass"]) for c in cases] == [
+        ("x^2", "x^2", True),
+        ("[1, 2]", "[1, 2]", True),
+        ("{1: 2}", "text", True),
+    ]
+
+
+def test_no_suite_changes_a_value_after_checking_it(monkeypatch):
+    # Render both sides when each case is checked, as reports once did;
+    # to_dict, rendering them at the end, must give the same text.
+    rendered = []
+
+    def eager(method):
+        def record(self, case_id, expected, actual):
+            rendered.append((case_id, str(expected), str(actual)))
+            method(self, case_id, expected, actual)
+        return record
+
+    monkeypatch.setattr(Report, "check", eager(Report.check))
+    monkeypatch.setattr(Report, "info", eager(Report.info))
+    reports = [
+        verify_grammar_theorems(max_n=4, max_r=3),
+        verify_weyl(max_len=4, max_n=4),
+        verify_bijections(max_n=4, count_max_n=5),
+        verify_identities(max_n=3),
+        verify_rook(max_n=2, b_max_n=3),
+        verify_shift(order=4),
+        run_suite("deformed", 4),
+    ]
+    at_end = [(c["id"], c["expected"], c["actual"]) for r in reports for c in r.to_dict()["cases"]]
+    assert at_end == rendered
 
 
 def test_table_rendering_marks_failures():
