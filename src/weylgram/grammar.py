@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
 from typing import Iterator, Mapping, Sequence
 
 from .ring import (
@@ -127,9 +126,12 @@ def shift_apply(g: Grammar, a: Polynomial, order: int) -> TruncatedSeries:
     if order < 0:
         raise ValueError("order must be >= 0")
     powers = _derivatives([g] * order, a, every=True)
-    return TruncatedSeries(
-        SHIFT_VARIABLE, [p.scale(Fraction(1, factorial(n))) for n, p in enumerate(powers)]
-    )
+    coefficients = []
+    n_factorial = 1
+    for n, p in enumerate(powers):
+        n_factorial *= n or 1
+        coefficients.append(p.scale(Fraction(1, n_factorial)))
+    return TruncatedSeries(SHIFT_VARIABLE, coefficients)
 
 
 def _derivatives(steps: Sequence[Grammar], a: Polynomial, every: bool = False) -> list[Polynomial]:

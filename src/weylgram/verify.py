@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import comb, factorial
 from operator import itemgetter
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import bijections, numbers, weyl
 from .grammar import (
@@ -31,6 +31,7 @@ from .grammar import (
     derive_n,
     enumerate_generations,
     generation_sum,
+    growth_bound,
     growth_sequences,
     shift_apply,
 )
@@ -354,6 +355,36 @@ def verify_deformed(max_n: int = SUITES["deformed"].default) -> Report:
     return report
 
 
+def _longer_tally(family: str, tally: Counter) -> Counter:
+    """The tally by count c of the bounded entry b of the family's
+    sequences one entry longer than the tallied ones, counted from the
+    tallied prefixes: a prefix holding c entries b has
+    growth_bound = c + b extensions, c + b - 1 of which keep c, while one,
+    the entry b, makes it c + 1."""
+    longer = Counter()
+    for c, prefixes in tally.items():
+        longer[c] += prefixes * (growth_bound(family, c, c) - 1)  # reads only the count of b
+        longer[c + 1] += prefixes
+    return longer
+
+
+def _bounded_tallies(family: str, length: int) -> Iterator[tuple[int, Counter]]:
+    """For each length 1, 2, ..., length (none if length < 1): the number
+    of the family's sequences and their tally by count of the bounded
+    entry.  One walk over bytes sequences stops a level short, and each
+    level it builds is counted on its own sequences; the top level is
+    counted from the last walked one by ``_longer_tally``.  A one-level
+    walk counts level 1 itself."""
+    b = FAMILIES[family].bounded
+    tally = Counter()
+    for level in _growth_levels(family, length - 1 if length > 1 else length, unit=bytes):
+        tally = Counter(map(bytes.count, level, repeat(b)))
+        yield len(level), tally
+    if length > 1:
+        top = _longer_tally(family, tally)
+        yield sum(top.values()), top
+
+
 def verify_bijections(max_n: int = SUITES["bijections"].default, count_max_n: int = 9) -> Report:
     """Round trips, statistic transport, multiset agreement, and the
     restricted-growth counting corollaries."""
@@ -421,22 +452,20 @@ def verify_bijections(max_n: int = SUITES["bijections"].default, count_max_n: in
         )
         report.check(f"start-shift-agreement/n={n}", from_xy, from_x)
 
-    # One walk per family over bytes sequences, read level by level; each
-    # statistic is counted on the enumerated sequences themselves.
-    ones_walk = _growth_levels(STIRLING_FAMILY, count_max_n, unit=bytes)
-    twos_walk = _growth_levels(P_FAMILY, count_max_n, unit=bytes)
-    for n, p_seqs, q_seqs in zip(range(1, count_max_n + 1), ones_walk, twos_walk):
-        report.check(f"cardinality-ones-bounded/n={n}", numbers.bell(n), len(p_seqs))
-        report.check(f"cardinality-twos-bounded/n={n}", numbers.bell(n), len(q_seqs))
+    ones_walk = _bounded_tallies(STIRLING_FAMILY, count_max_n)
+    twos_walk = _bounded_tallies(P_FAMILY, count_max_n)
+    for n, (p_size, p_tally), (q_size, q_tally) in zip(range(1, count_max_n + 1), ones_walk, twos_walk):
+        report.check(f"cardinality-ones-bounded/n={n}", numbers.bell(n), p_size)
+        report.check(f"cardinality-twos-bounded/n={n}", numbers.bell(n), q_size)
         ones_dist = {k: 0 for k in range(1, n + 1)}
-        ones_dist.update(Counter(map(bytes.count, p_seqs, repeat(1))))
+        ones_dist.update(p_tally)
         report.check(
             f"ones-distribution/n={n}",
             {k: numbers.stirling2(n, k) for k in range(1, n + 1)},
             ones_dist,
         )
         twos_dist = {k: 0 for k in range(n)}
-        twos_dist.update(Counter(map(bytes.count, q_seqs, repeat(2))))
+        twos_dist.update(q_tally)
         report.check(
             f"twos-distribution/n={n}",
             {k: numbers.stirling2(n, k + 1) for k in range(n)},

@@ -349,6 +349,14 @@ def test_shift_apply_examples():
     assert shift_apply(STIRLING, Polynomial.zero(), 3) == TruncatedSeries.constant("lambda", 0, 3)
 
 
+def test_shift_apply_coefficients_are_derivatives_over_factorials():
+    # the running n! of shift_apply against factorial(n) taken afresh
+    series = shift_apply(STIRLING, X, 30)
+    expected = [derive_n(STIRLING, X, n).scale(Fraction(1, factorial(n))) for n in range(31)]
+    assert list(series.coefficients) == expected
+    assert list(map(str, series.coefficients)) == list(map(str, expected))
+
+
 def test_shift_closed_forms():
     order = 8
     lam = TruncatedSeries.var("lambda", order)

@@ -2,11 +2,13 @@
 
 import json
 import re
+from collections import Counter
 
 import pytest
 
 from weylgram import verify
 from weylgram.cli import main
+from weylgram.grammar import FAMILIES, P_FAMILY, STIRLING_FAMILY
 from weylgram.ring import sym
 from weylgram.verify import (
     SUITES,
@@ -87,26 +89,77 @@ def test_bijections_suite_passes():
 
 @pytest.mark.parametrize("fault", ["drop", "duplicate"])
 def test_bijections_count_check_reads_the_enumerated_sequences(monkeypatch, fault):
-    # The walk yields one faulty level, n = 5, and the correct ones after
-    # it: exactly the count cases of that n fail, for both families.
+    # The walk yields one faulty level and the correct ones after it.  A
+    # faulty level 4 fails exactly the count cases of n = 4, for both
+    # families.  The walk stops at level 5 and level 6 is counted from
+    # its prefixes, so a faulty level 5 fails the cases of n = 5 and 6.
     walk = verify._growth_levels
+    faulty_length = None
 
     def faulty(family, length, offset=0, *, unit):
         for level in walk(family, length, offset, unit=unit):
-            if len(level[0]) == 5:
+            if len(level[0]) == faulty_length:
                 level = level[1:] if fault == "drop" else level + level[-1:]
             yield level
 
     monkeypatch.setattr(verify, "_growth_levels", faulty)
-    report = verify_bijections(max_n=1, count_max_n=6)
-    failed = [c.case_id for c in report.cases if not c.passed]
-    assert failed == [
-        "cardinality-ones-bounded/n=5",
-        "cardinality-twos-bounded/n=5",
-        "ones-distribution/n=5",
-        "twos-distribution/n=5",
+    for faulty_length, failing in [(4, [4]), (5, [5, 6])]:
+        report = verify_bijections(max_n=1, count_max_n=6)
+        failed = [c.case_id for c in report.cases if not c.passed]
+        assert failed == [
+            case_id
+            for n in failing
+            for case_id in (
+                f"cardinality-ones-bounded/n={n}",
+                f"cardinality-twos-bounded/n={n}",
+                f"ones-distribution/n={n}",
+                f"twos-distribution/n={n}",
+            )
+        ]
+        assert sum(c.case_id.startswith("cardinality-") for c in report.cases) == 12
+
+
+@pytest.mark.parametrize("family", [STIRLING_FAMILY, P_FAMILY])
+def test_longer_tally_counts_the_built_level(family):
+    # Counted from the prefixes of level L - 1, level L has the size and
+    # the tally by count of the bounded entry of the level the walk builds.
+    b = FAMILIES[family].bounded
+    levels = list(verify._growth_levels(family, 10, unit=bytes))
+    for prefixes, level in zip(levels, levels[1:]):
+        longer = verify._longer_tally(family, Counter(s.count(b) for s in prefixes))
+        assert sum(longer.values()) == len(level)
+        assert +longer == Counter(s.count(b) for s in level)
+
+
+@pytest.mark.parametrize("count_max_n", [2, 9])
+def test_bijections_count_walk_stops_a_level_short(monkeypatch, count_max_n):
+    lengths = []
+    walk = verify._growth_levels
+
+    def recorded(family, length, offset=0, *, unit):
+        for level in walk(family, length, offset, unit=unit):
+            lengths.append(len(level[0]))
+            yield level
+
+    monkeypatch.setattr(verify, "_growth_levels", recorded)
+    assert verify_bijections(max_n=1, count_max_n=count_max_n).passed
+    assert max(lengths) == count_max_n - 1
+
+
+@pytest.mark.parametrize("count_max_n", [0, 1, 2])
+def test_bijections_count_cases_at_small_budgets(count_max_n):
+    report = verify_bijections(max_n=1, count_max_n=count_max_n)
+    count_ids = [c.case_id for c in report.cases if c.case_id.startswith(("cardinality-", "ones-", "twos-"))]
+    assert count_ids == [
+        case_id
+        for n in range(1, count_max_n + 1)
+        for case_id in (
+            f"cardinality-ones-bounded/n={n}",
+            f"cardinality-twos-bounded/n={n}",
+            f"ones-distribution/n={n}",
+            f"twos-distribution/n={n}",
+        )
     ]
-    assert sum(c.case_id.startswith("cardinality-") for c in report.cases) == 12
 
 
 def test_identities_suite_passes():
