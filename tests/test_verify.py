@@ -87,6 +87,20 @@ def test_bijections_suite_passes():
     assert any(c.case_id.startswith("twos-distribution") for c in report.cases)
 
 
+def count_case_ids(ns):
+    """The bijections suite's four count case ids of each n, in report order."""
+    return [
+        case_id
+        for n in ns
+        for case_id in (
+            f"cardinality-ones-bounded/n={n}",
+            f"cardinality-twos-bounded/n={n}",
+            f"ones-distribution/n={n}",
+            f"twos-distribution/n={n}",
+        )
+    ]
+
+
 @pytest.mark.parametrize("fault", ["drop", "duplicate"])
 def test_bijections_count_check_reads_the_enumerated_sequences(monkeypatch, fault):
     # The walk yields one faulty level and the correct ones after it.  A
@@ -106,16 +120,7 @@ def test_bijections_count_check_reads_the_enumerated_sequences(monkeypatch, faul
     for faulty_length, failing in [(4, [4]), (5, [5, 6])]:
         report = verify_bijections(max_n=1, count_max_n=6)
         failed = [c.case_id for c in report.cases if not c.passed]
-        assert failed == [
-            case_id
-            for n in failing
-            for case_id in (
-                f"cardinality-ones-bounded/n={n}",
-                f"cardinality-twos-bounded/n={n}",
-                f"ones-distribution/n={n}",
-                f"twos-distribution/n={n}",
-            )
-        ]
+        assert failed == count_case_ids(failing)
         assert sum(c.case_id.startswith("cardinality-") for c in report.cases) == 12
 
 
@@ -128,7 +133,7 @@ def test_longer_tally_counts_the_built_level(family):
     for prefixes, level in zip(levels, levels[1:]):
         longer = verify._longer_tally(family, Counter(s.count(b) for s in prefixes))
         assert sum(longer.values()) == len(level)
-        assert +longer == Counter(s.count(b) for s in level)
+        assert longer == Counter(s.count(b) for s in level)
 
 
 @pytest.mark.parametrize("count_max_n", [2, 9])
@@ -150,16 +155,7 @@ def test_bijections_count_walk_stops_a_level_short(monkeypatch, count_max_n):
 def test_bijections_count_cases_at_small_budgets(count_max_n):
     report = verify_bijections(max_n=1, count_max_n=count_max_n)
     count_ids = [c.case_id for c in report.cases if c.case_id.startswith(("cardinality-", "ones-", "twos-"))]
-    assert count_ids == [
-        case_id
-        for n in range(1, count_max_n + 1)
-        for case_id in (
-            f"cardinality-ones-bounded/n={n}",
-            f"cardinality-twos-bounded/n={n}",
-            f"ones-distribution/n={n}",
-            f"twos-distribution/n={n}",
-        )
-    ]
+    assert count_ids == count_case_ids(range(1, count_max_n + 1))
 
 
 def test_identities_suite_passes():
