@@ -10,6 +10,12 @@ and summation over contractions (``wick_sum``, counting them by number
 of edges); their agreement is a core verification target.
 ``normal_order_p`` weighs each contracted adjacent pair by a symbol p.
 
+Rewriting holds a prefix's normal form on one index.  Every term
+c^i a^j of it has i - j = #c - #a of the prefix, so the form is one list
+of coefficients indexed by j.  Each ``c`` costs one integer update per
+list entry, at most #c * (#a + 1) updates for the word, and each ``a``
+one list insert.
+
 ``WeylWord(...)`` and ``Contraction(...)`` are the boundary: they check
 every input, from the CLI or from a library caller.  The words and
 contractions that this module builds itself (``WeylWord.ca_power``,
@@ -401,19 +407,23 @@ def normal_order_p(word: WeylWord, p: str = "p") -> NormalForm:
 @lru_cache(maxsize=None)
 def _rewrite_terms(letters: str) -> tuple[tuple[tuple[int, int], int], ...]:
     """Right-multiply the normal form by one letter at a time:
-    c^i a^j * a = c^i a^(j+1) and c^i a^j * c = c^(i+1) a^j + j c^i a^(j-1)."""
-    terms = {(0, 0): 1}
+    c^i a^j * a = c^i a^(j+1) and c^i a^j * c = c^(i+1) a^j + j c^i a^(j-1).
+
+    Every term of a prefix's normal form has i - j = #c - #a of that
+    prefix, so the form is one list: coeffs[j] is the coefficient of
+    c^(j + #c - #a) a^j.  An ``a`` shifts the list up by one index; a
+    ``c`` is one ascending pass, coeffs[j] += (j + 1) * coeffs[j + 1].
+    A word costs at most #c * (#a + 1) integer updates and #a list
+    inserts.  Entries whose creation power would be negative stay 0."""
+    coeffs = [1]
     for letter in letters:
         if letter == ANNIHILATION:
-            terms = {(i, j + 1): coeff for (i, j), coeff in terms.items()}
+            coeffs.insert(0, 0)
             continue
-        product: dict[tuple[int, int], int] = {}
-        for (i, j), coeff in terms.items():
-            product[i + 1, j] = product.get((i + 1, j), 0) + coeff
-            if j:
-                product[i, j - 1] = product.get((i, j - 1), 0) + j * coeff
-        terms = product
-    return tuple(sorted(terms.items()))
+        for j in range(len(coeffs) - 1):
+            coeffs[j] += (j + 1) * coeffs[j + 1]
+    shift = letters.count(CREATION) - letters.count(ANNIHILATION)
+    return tuple([((j + shift, j), n) for j, n in enumerate(coeffs) if n])
 
 
 def normal_order(word: WeylWord) -> NormalForm:

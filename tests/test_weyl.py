@@ -3,12 +3,13 @@
 import random
 import tracemalloc
 from collections import Counter
+from math import comb, factorial
 
 import pytest
 
 from weylgram import weyl
-from weylgram.numbers import bell, stirling2, stirling_p
-from weylgram.ring import ParseError, sym
+from weylgram.numbers import bell, special_poly, stirling2, stirling_p
+from weylgram.ring import ParseError, poly_sum, sym
 from weylgram.weyl import (
     Contraction,
     ContractionStats,
@@ -105,6 +106,21 @@ def test_normal_order_long_number_operator_power():
     # deeper than the interpreter recursion limit: rewriting must not recurse
     expected = NormalForm({(k, k): stirling2(400, k) for k in range(1, 401)})
     assert normal_order(WeylWord.ca_power(400)) == expected
+
+
+@pytest.mark.parametrize("n", range(31))
+def test_normal_order_annihilation_power_times_creation_power(n):
+    # a^n c^n = sum_k k! C(n,k)^2 c^(n-k) a^(n-k), the laguerre-square row
+    word = WeylWord("a" * n + "c" * n)
+    expected = {(n - k, n - k): factorial(k) * comb(n, k) ** 2 for k in range(n + 1)}
+    assert normal_order(word) == NormalForm(expected)
+    y = sym("y")
+    row = poly_sum(coeff * y**i for (i, _), coeff in normal_order(word).terms().items())
+    assert row == special_poly("laguerre-square", n)
+    # the fact rewriting's one-index list relies on: i - j = #c - #a
+    for w in (word, WeylWord("a" * n + "c" * (n // 2)), WeylWord("c" * n + "a" * (n // 2))):
+        shift = w.count("c") - w.count("a")
+        assert all(i - j == shift for (i, j), _ in _rewrite_terms(w.letters))
 
 
 def test_rewriting_caches_whole_words_only():

@@ -3,7 +3,8 @@
 Rewriting, the Wick sum, the p-form at p = 1 and the rook numbers of the
 word's Ferrers board (Varvak) are independent routes to the same counts,
 and the transfer-matrix tally behind the p-form equals the contraction
-walker's.
+walker's.  Words past the enumerators' reach, up to 48 letters, are
+checked against the p-form, the one other route in polynomial time.
 
 The words, contractions and integer normal forms the program builds
 itself skip the checks of the public constructors; here each of them
@@ -35,6 +36,7 @@ from weylgram.weyl import (
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
 words = st.text(alphabet="ac", max_size=12).map(WeylWord)
+long_words = st.text(alphabet="ac", min_size=13, max_size=48).map(WeylWord)
 
 
 def varvak_board(word):
@@ -61,9 +63,25 @@ def test_p_form_at_one_equals_rewriting(word):
 
 
 @PROPERTY
+@given(long_words)
+def test_p_form_at_one_equals_rewriting_on_long_words(word):
+    assert normal_order_p(word).substitute("p", 1) == normal_order(word)
+
+
+@PROPERTY
 @given(words)
 def test_contractions_are_the_rook_placements_of_the_varvak_board(word):
     assert len(enumerate_contractions(word)) == sum(rook_numbers(varvak_board(word)))
+
+
+@PROPERTY
+@given(words)
+def test_rewriting_coefficients_are_the_rook_numbers_of_the_varvak_board(word):
+    # Varvak: the coefficient of c^(#c - k) a^(#a - k) is r_k
+    creations, annihilations = word.count("c"), word.count("a")
+    rooks = rook_numbers(varvak_board(word))
+    expected = {(creations - k, annihilations - k): r for k, r in enumerate(rooks)}
+    assert normal_order(word) == NormalForm(expected)
 
 
 @PROPERTY
