@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -385,6 +386,17 @@ def test_top_level_and_triangle_usages_are_fixed_lines(capsys, monkeypatch, colu
         f"usage: weylgram triangle [-h] --family{indent}{families}{indent}--n N [--k K] [--param KEY=VALUE]"
         f"{indent}[--format {{plain,json,csv}}]\nweylgram triangle: error: argument --n: invalid int value: 'abc'\n"
     )
+
+
+def test_every_subcommand_ends_with_one_format_option():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, command in commands.choices.items():
+        options = [a for a in command._actions if a.option_strings]
+        formats = [a for a in options if "--format" in a.option_strings]
+        assert len(formats) == 1 and options[-1] is formats[0], name
+        expected = ("plain", "json", "csv") if name == "triangle" else ("plain", "json")
+        assert tuple(formats[0].choices) == expected, name
+        assert formats[0].default == "plain", name
 
 
 def test_main_builds_the_parser_once_per_process(capsys):

@@ -225,6 +225,28 @@ def test_negative_n_is_rejected():
             call()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: stirling2(-1, 0), "n must be >= 0"),
+        (lambda: stirling2(-1, 5), "n must be >= 0"),
+        (lambda: bell(-1), "n must be >= 0"),
+        (lambda: whitney(-1, 0), "n must be >= 0"),
+        (lambda: dowling_poly(-1), "n must be >= 0"),
+        (lambda: sf_numbers(-1, 0), "n must be >= 0"),
+        (lambda: stirling_p(0, 1), "n must be >= 1"),
+        (lambda: stirling_p(0, 5), "n must be >= 1"),
+        (lambda: q_stirling(0, 1), "n must be >= 1"),
+        (lambda: sf_numbers(-1, 0, "m", "bad"), "unknown variant 'bad'"),
+        (lambda: gen_bell(0, 2), "need n >= 1 and r >= 1"),
+    ],
+)
+def test_accessor_errors_below_the_first_row(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_sf_rows():
     assert [sf_numbers(2, k) for k in (0, 1, 2)] == [
         (M - 1) ** 2,

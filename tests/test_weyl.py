@@ -43,6 +43,37 @@ def test_word_parsing():
         WeylWord.parse("(ca)^²")  # a digit, but not a decimal digit
 
 
+@pytest.mark.parametrize(
+    "text, result",
+    [
+        ("(ca", "unbalanced '('"),
+        ("(ca)^3(", "unbalanced '('"),
+        ("()", "bad group ''"),
+        ("((ca)", "bad group '(ca'"),
+        ("(ca)^", "missing repetition count"),
+        ("(ca)^x", "missing repetition count"),
+        (")", "unexpected character ')'"),
+        ("^", "unexpected character '^'"),
+        ("c\na", "unexpected character '\\n'"),
+        ("(ca)^3^2", "unexpected character '^'"),
+        # the first bad piece wins
+        ("(cb)x", "bad group 'cb'"),
+        ("x(cb)", "unexpected character 'x'"),
+        # the letter limit is checked only after every piece
+        ("(ca)^2147483648x", "unexpected character 'x'"),
+        ("C A", "ca"),
+        ("(ca)^٣", "cacaca"),
+    ],
+)
+def test_word_parse_table(text, result):
+    if set(result) <= {"a", "c"}:
+        assert WeylWord.parse(text).letters == result
+        return
+    with pytest.raises(ParseError) as info:
+        WeylWord.parse(text)
+    assert str(info.value) == f"{result} in word {text!r}"
+
+
 def test_word_length_is_checked_before_the_word_is_built(monkeypatch):
     # 2 * 10^11 letters: building the word would ask for 200 GB at once.
     tracemalloc.start()
