@@ -54,7 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     tri.add_argument("--n", type=int, required=True, help="largest row index")
     tri.add_argument("--k", type=int, help="restrict output to one column")
     tri.add_argument("--param", action="append", default=[], metavar="KEY=VALUE")
-    tri.add_argument("--format", choices=("plain", "json", "csv"), default="plain")
     tri.set_defaults(handler=_cmd_triangle)
     indent = "\n" + " " * len("usage: weylgram triangle ")
     tri.usage = indent.join(
@@ -70,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grammar_flags(der)
     der.add_argument("--start", required=True, help="start polynomial")
     der.add_argument("--steps", type=int, required=True)
-    der.add_argument("--format", choices=("plain", "json"), default="plain")
     der.set_defaults(handler=_cmd_derive)
 
     chain = sub.add_parser(
@@ -84,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="grammar text; repeat for each factor, written in operator order",
     )
     chain.add_argument("--start", required=True)
-    chain.add_argument("--format", choices=("plain", "json"), default="plain")
     chain.set_defaults(handler=_cmd_derive_chain)
 
     norm = sub.add_parser("normal-order", help="normal-order a word over {a, c}")
@@ -96,12 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="P=VALUE",
         help="weigh adjacent contracted pairs by a symbol (VALUE 'sym') or integer",
     )
-    norm.add_argument("--format", choices=("plain", "json"), default="plain")
     norm.set_defaults(handler=_cmd_normal_order)
 
     contr = sub.add_parser("contractions", help="enumerate contractions of a word")
     contr.add_argument("--word", required=True)
-    contr.add_argument("--format", choices=("plain", "json"), default="plain")
     contr.set_defaults(handler=_cmd_contractions)
 
     bij = sub.add_parser(
@@ -111,27 +106,28 @@ def build_parser() -> argparse.ArgumentParser:
     bij.add_argument("--seq", help="comma-separated entries, e.g. 1,2,1,3")
     bij.add_argument("--word", help="contraction word (with --edges)")
     bij.add_argument("--edges", help="contraction edges, e.g. '(4,5),(2,7)' or ''")
-    bij.add_argument("--format", choices=("plain", "json"), default="plain")
     bij.set_defaults(handler=_cmd_bijection)
 
     rook = sub.add_parser("rook", help="rook numbers of a Ferrers board")
     rook.add_argument("--board", required=True, help="column heights, e.g. 1,1,3,3")
-    rook.add_argument("--format", choices=("plain", "json"), default="plain")
     rook.set_defaults(handler=_cmd_rook)
 
     ver = sub.add_parser("verify", help="run verification suites")
     ver.add_argument("--suite", default="all", choices=("all", *verify.SUITES))
     ver.add_argument("--max-n", type=int, default=None)
     ver.add_argument("--order", type=int, default=None, help="series order for the shift suite")
-    ver.add_argument("--format", choices=("plain", "json"), default="plain")
     ver.set_defaults(handler=_cmd_verify)
 
     shift = sub.add_parser("shift", help="exponential of the derivative applied to a polynomial")
     _add_grammar_flags(shift)
     shift.add_argument("--start", required=True)
     shift.add_argument("--order", type=int, required=True)
-    shift.add_argument("--format", choices=("plain", "json"), default="plain")
     shift.set_defaults(handler=_cmd_shift)
+
+    # Added last, so that --format ends every subcommand's usage and help.
+    for name, command in sub.choices.items():
+        formats = ("plain", "json", "csv") if name == "triangle" else ("plain", "json")
+        command.add_argument("--format", choices=formats, default="plain")
 
     # argparse builds each subcommand's prog from the parent's usage, so
     # this one is set only after every subcommand is added.

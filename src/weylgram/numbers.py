@@ -8,8 +8,9 @@ are exact integers or integer polynomials in the declared parameters;
 any rational intermediate (series extraction, signed sums with a 1/2
 factor, division by m^k k!) is asserted integral before it is returned.
 
-The recurrences are built row by row from their first row, with no
-recursion, and every row built is kept per family and parameter binding.
+One walker, ``_rows``, builds every recurrence row by row, with no
+recursion.  It owns the store of built rows and the one check that n is
+not below the family's first row.
 """
 
 from __future__ import annotations
@@ -49,48 +50,52 @@ def _as_param(value: ParamValue) -> Polynomial:
 
 # Every row the recurrence oracles have built, keyed by family and bound
 # parameters: _ROWS[key][n] is row n indexed by k, None below the family's
-# first row.  It holds one list per family and parameter binding, with the
-# rows up to the largest n requested; row n has n + 1 entries (n*r + 1 for
-# S_{r,r}).  Nothing is freed for the life of the process.
+# first row; row n has n + 1 entries (n*r + 1 for S_{r,r}).  Nothing is
+# freed for the life of the process.
 _ROWS: dict[tuple, list] = {}
 
 
-def _walk(key: tuple, n: int, first: list, stay: Callable, step: Callable | None = None) -> list:
-    """Row n of T(n,k) = stay(n,k) T(n-1,k) + step(n,k) T(n-1,k-1), k = 0..n,
-    with T = 0 outside 0..n, built row by row from `first`, which is row
-    len(first) - 1.  A step of None stands for 1: T(n-1,k-1) is added as is."""
+def _rows(key: tuple, n: int, start: int, first: list, next_row: Callable, *args) -> list:
+    """Row n of the family `key`, whose first row, row `start`, is `first`;
+    a smaller n is a ValueError.  The rows up to n that _ROWS lacks are
+    built in order, row i as next_row(i, row i - 1, *args)."""
+    if n < start:
+        raise ValueError(f"n must be >= {start}")
     rows = _ROWS.get(key)
     if rows is None:
-        rows = _ROWS[key] = [None] * (len(first) - 1) + [first]
+        rows = _ROWS[key] = [None] * start + [first]
     while len(rows) <= n:
-        i, prev = len(rows), rows[-1]
-        row = [stay(i, 0) * prev[0]]
-        for k in range(1, i):
-            low = prev[k - 1] if step is None else step(i, k) * prev[k - 1]
-            row.append(stay(i, k) * prev[k] + low)
-        row.append(prev[i - 1] if step is None else step(i, i) * prev[i - 1])
-        rows.append(row)
+        rows.append(next_row(len(rows), rows[-1], *args))
     return rows[n]
+
+
+def _two_term(n: int, prev: list, stay: Callable, step: Callable | None = None) -> list:
+    """Row n of T(n,k) = stay(n,k) T(n-1,k) + step(n,k) T(n-1,k-1), k = 0..n,
+    from row n - 1, with T = 0 outside 0..n.  A step of None stands for 1:
+    T(n-1,k-1) is added as is."""
+    row = [stay(n, 0) * prev[0]]
+    for k in range(1, n):
+        low = prev[k - 1] if step is None else step(n, k) * prev[k - 1]
+        row.append(stay(n, k) * prev[k] + low)
+    row.append(prev[n - 1] if step is None else step(n, n) * prev[n - 1])
+    return row
 
 
 # -- Stirling / Bell ------------------------------------------------------
 
 
 def _stirling2_row(n: int) -> list[int]:
-    return _walk(("stirling2",), n, [1], lambda n, k: k)
+    return _rows(("stirling2",), n, 0, [1], _two_term, lambda n, k: k)
 
 
 def stirling2(n: int, k: int) -> int:
     """Stirling numbers of the second kind, S(n,k) = k S(n-1,k) + S(n-1,k-1)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _stirling2_row(n)[k] if 0 <= k <= n else 0
+    row = _stirling2_row(n)
+    return row[k] if 0 <= k <= n else 0
 
 
 def bell(n: int) -> int:
     """Row sum of the Stirling triangle."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
     return sum(_stirling2_row(n))
 
 
@@ -130,7 +135,7 @@ def _second_order_eulerian_row(n: int) -> list[int]:
     """Row n of A008517, k = 0..n, by <<n,k>> = (k+1) <<n-1,k>> +
     (2n-1-k) <<n-1,k-1>> (Graham-Knuth-Patashnik, eq. 6.35); for n >= 1
     its last entry is 0."""
-    return _walk(("second-order-eulerian",), n, [1], lambda n, k: k + 1, lambda n, k: 2 * n - 1 - k)
+    return _rows(("second-order-eulerian",), n, 0, [1], _two_term, lambda n, k: k + 1, lambda n, k: 2 * n - 1 - k)
 
 
 # Rows 1..8 of A008517, k = 0..n-1: the rows the `second-order-eulerian`
@@ -146,25 +151,23 @@ _ZERO, _ONE, _P, _Q = Polynomial.zero(), Polynomial.one(), sym("p"), sym("q")
 
 
 def _stirling_p_row(n: int) -> list[Polynomial]:
-    return _walk(("stirling-p",), n, [_ZERO, _ONE], lambda n, k: _P + (k - 1))
+    return _rows(("stirling-p",), n, 1, [_ZERO, _ONE], _two_term, lambda n, k: _P + (k - 1))
 
 
 def _q_stirling_row(n: int) -> list[Polynomial]:
-    return _walk(("q-stirling",), n, [_ZERO, _ONE], lambda n, k: _Q ** (n - 1) + (k - 1))
+    return _rows(("q-stirling",), n, 1, [_ZERO, _ONE], _two_term, lambda n, k: _Q ** (n - 1) + (k - 1))
 
 
 def stirling_p(n: int, k: int) -> Polynomial:
     """S_p(n,k) = (k-1+p) S_p(n-1,k) + S_p(n-1,k-1), S_p(n,1) = p^(n-1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _stirling_p_row(n)[k] if 0 <= k <= n else Polynomial.zero()
+    row = _stirling_p_row(n)
+    return row[k] if 0 <= k <= n else Polynomial.zero()
 
 
 def q_stirling(n: int, k: int) -> Polynomial:
     """S_q(n+1,k) = (k-1+q^n) S_q(n,k) + S_q(n,k-1), S_q(1,k) = [k=1]."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _q_stirling_row(n)[k] if 0 <= k <= n else Polynomial.zero()
+    row = _q_stirling_row(n)
+    return row[k] if 0 <= k <= n else Polynomial.zero()
 
 
 def _gen_stirling_row(n: int, r: int, s: int) -> list[int]:
@@ -174,22 +177,22 @@ def _gen_stirling_row(n: int, r: int, s: int) -> list[int]:
         raise ValueError("need n >= 1 and r >= 1")
     if s == 1:
         # S_{r,1}(n,k) = [k + (n-1)(r-1)] S_{r,1}(n-1,k) + S_{r,1}(n-1,k-1)
-        return _walk(("gen-stirling", r, 1), n, [0, 1], lambda n, k: k + (n - 1) * (r - 1))
+        return _rows(("gen-stirling", r, 1), n, 1, [0, 1], _two_term, lambda n, k: k + (n - 1) * (r - 1))
     if s != r:
         raise ValueError(f"no recurrence route for s={s} (need s=1 or s=r)")
+    return _rows(("gen-stirling", r, r), n, 1, [0] * r + [1], _gen_stirling_rr, r)
+
+
+def _gen_stirling_rr(n: int, prev: list[int], r: int) -> list[int]:
     # S_{r,r}(n+1,k) = sum_p C(k+p-r,p) r^(falling p) S_{r,r}(n,k+p-r); row n
     # spans k = 0..nr and is zero below k = r.
-    rows = _ROWS.setdefault(("gen-stirling", r, r), [None, [0] * r + [1]])
-    while len(rows) <= n:
-        i, prev = len(rows), rows[-1]
-        row = [0] * (i * r + 1)
-        for k in range(r, i * r + 1):
-            row[k] = sum(
-                comb(k + p - r, p) * perm(r, p) * prev[k + p - r]
-                for p in range(min(r, i * r - k) + 1)
-            )
-        rows.append(row)
-    return rows[n]
+    row = [0] * (n * r + 1)
+    for k in range(r, n * r + 1):
+        row[k] = sum(
+            comb(k + p - r, p) * perm(r, p) * prev[k + p - r]
+            for p in range(min(r, n * r - k) + 1)
+        )
+    return row
 
 
 def gen_stirling_recur(n: int, k: int, r: int, s: int) -> int:
@@ -229,22 +232,20 @@ def gen_bell(n: int, r: int) -> int:
 
 def _whitney_row(n: int, m: ParamValue, r: ParamValue) -> list[Polynomial]:
     # W_{m,r}(n,k) = (r + k m) W(n-1,k) + W(n-1,k-1); W(0,k) = [k=0]
-    return _walk(("whitney", m, r), n, [_ONE], lambda n, k: _as_param(r) + _as_param(m) * k)
+    return _rows(("whitney", m, r), n, 0, [_ONE], _two_term, lambda n, k: _as_param(r) + _as_param(m) * k)
 
 
 def whitney(n: int, k: int, m: ParamValue = "m", r: ParamValue = "r") -> Polynomial:
     """Two-parameter Whitney numbers; parameters may stay symbolic."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _whitney_row(n, m, r)[k] if 0 <= k <= n else Polynomial.zero()
+    row = _whitney_row(n, m, r)
+    return row[k] if 0 <= k <= n else Polynomial.zero()
 
 
 def dowling_poly(n: int, m: ParamValue = "m", r: ParamValue = "r", var: str = "x") -> Polynomial:
     """Generating polynomial sum_k W_{m,r}(n,k) var^k."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    row = _whitney_row(n, m, r)
     x = sym(var)
-    return poly_sum(w * x**k for k, w in enumerate(_whitney_row(n, m, r)))
+    return poly_sum(w * x**k for k, w in enumerate(row))
 
 
 def rstirling_bruteforce(n: int, k: int, r: int) -> int:
@@ -295,7 +296,7 @@ def _sf_row(n: int, m: ParamValue, variant: str) -> list[Polynomial]:
         step = lambda n, k: _as_param(m)
     else:
         step = lambda n, k: _as_param(m) * k
-    return _walk(("sf", variant, m), n, [_ONE], lambda n, k: _as_param(m) * (k + 1) - 1, step)
+    return _rows(("sf", variant, m), n, 0, [_ONE], _two_term, lambda n, k: _as_param(m) * (k + 1) - 1, step)
 
 
 def sf_numbers(n: int, k: int, m: ParamValue = "m", variant: str = "plain") -> Polynomial:
@@ -307,9 +308,8 @@ def sf_numbers(n: int, k: int, m: ParamValue = "m", variant: str = "plain") -> P
     """
     if variant not in SF_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _sf_row(n, m, variant)[k] if 0 <= k <= n else Polynomial.zero()
+    row = _sf_row(n, m, variant)
+    return row[k] if 0 <= k <= n else Polynomial.zero()
 
 
 def sf_from_eulerian(n: int, k: int, m: int) -> int:

@@ -135,6 +135,8 @@ class Suite:
 
 
 # Every suite; `verify --suite all` runs those with in_all, in this order.
+# A suite's function takes only its budget: its other sizes are fixed in
+# its body, and its report's params still show them.
 SUITES: dict[str, Suite] = {
     "grammar": Suite("verify_grammar_theorems", "max_n", 8, 1, 10),
     "weyl": Suite("verify_weyl", "max_n", 8, 1, 10),
@@ -159,12 +161,6 @@ def run_suites(budgets: dict[str, int | None]) -> list[Report]:
             raise ValueError(f"{suite.flag} must be between {suite.low} and {suite.cap} for the {name} suite")
         calls.append((globals()[suite.function], {suite.budget: budget}))
     return [function(**kwargs) for function, kwargs in calls]
-
-
-def run_suite(name: str, budget: int | None = None) -> Report:
-    """Run one suite at a budget (its default when None); a budget outside
-    the suite's low..cap raises ValueError."""
-    return run_suites({name: budget})[0]
 
 
 def run_request(suite: str, max_n: int | None = None, order: int | None = None) -> list[Report]:
@@ -216,12 +212,13 @@ def _rr_steps(r: int, max_n: int) -> list[Grammar]:
     return [shifted[t] for t in list(range(1, r + 1)) * (max_n - 1) + [1]]
 
 
-def verify_grammar_theorems(max_n: int = SUITES["grammar"].default, max_r: int = 4) -> Report:
+def verify_grammar_theorems(max_n: int = SUITES["grammar"].default) -> Report:
     """Derivative route equals oracle route for every grammar theorem.
 
     Each family's rows are read from one derivative walk from x:
     entry k of _derivatives(steps, X, every=True) is x after the first k
     steps, the first acting first."""
+    max_r = 4
     report = Report("grammar", {"max_n": max_n, "max_r": max_r})
 
     rows = _derivatives([STIRLING_GRAMMAR] * max_n, X, every=True)
@@ -302,8 +299,9 @@ def verify_grammar_theorems(max_n: int = SUITES["grammar"].default, max_r: int =
     return report
 
 
-def verify_weyl(max_len: int = 10, max_n: int = SUITES["weyl"].default) -> Report:
+def verify_weyl(max_n: int = SUITES["weyl"].default) -> Report:
     """Wick two-route equality, Stirling rows, and the deformed rows."""
+    max_len = 10
     report = Report("weyl", {"max_len": max_len, "max_n": max_n})
 
     for length in range(1, max_len + 1):
@@ -369,25 +367,23 @@ def _longer_tally(family: str, tally: Counter) -> Counter:
 
 
 def _bounded_tallies(family: str, length: int) -> Iterator[tuple[int, Counter]]:
-    """For each length 1, 2, ..., length (none if length < 1): the number
-    of the family's sequences and their tally by count of the bounded
-    entry.  One walk over bytes sequences stops a level short, and each
-    level it builds is counted on its own sequences; the top level is
-    counted from the last walked one by ``_longer_tally``.  A one-level
-    walk counts level 1 itself."""
+    """For each length 1, 2, ..., length (at least 2): the number of the
+    family's sequences and their tally by count of the bounded entry.  One
+    walk over bytes sequences stops a level short, and each level it
+    builds is counted on its own sequences; the top level is counted from
+    the last walked one by ``_longer_tally``."""
     b = FAMILIES[family].bounded
-    tally = Counter()
-    for level in _growth_levels(family, length - 1 if length > 1 else length, unit=bytes):
+    for level in _growth_levels(family, length - 1, unit=bytes):
         tally = Counter(map(bytes.count, level, repeat(b)))
         yield len(level), tally
-    if length > 1:
-        top = _longer_tally(family, tally)
-        yield sum(top.values()), top
+    top = _longer_tally(family, tally)
+    yield sum(top.values()), top
 
 
-def verify_bijections(max_n: int = SUITES["bijections"].default, count_max_n: int = 9) -> Report:
+def verify_bijections(max_n: int = SUITES["bijections"].default) -> Report:
     """Round trips, statistic transport, multiset agreement, and the
     restricted-growth counting corollaries."""
+    count_max_n = 9
     report = Report("bijections", {"max_n": max_n, "count_max_n": count_max_n})
     # The contractions of each (ca)^length, built once and read by the
     # round-trip, sequence-table, transport and multiset checks.
@@ -511,9 +507,10 @@ def verify_shift(order: int = SUITES["shift"].default) -> Report:
     return report
 
 
-def verify_identities(max_n: int = SUITES["identities"].default, seed: int = 20240211) -> Report:
+def verify_identities(max_n: int = SUITES["identities"].default) -> Report:
     """Cross-family identities: Eulerian-Stirling, route agreements,
     generating functions, specializations, and the Leibniz rule."""
+    seed = 20240211
     report = Report("identities", {"max_n": max_n, "seed": seed})
 
     for n in range(1, max_n + 1):
@@ -670,8 +667,9 @@ def _random_polynomial(rng: random.Random) -> Polynomial:
     )
 
 
-def verify_rook(max_n: int = SUITES["rook"].default, b_max_n: int = 5) -> Report:
+def verify_rook(max_n: int = SUITES["rook"].default) -> Report:
     """Rook-number correspondence for the alternating two-grammar chains."""
+    b_max_n = 5
     report = Report("rook", {"max_n": max_n, "b_max_n": b_max_n})
     d1, d2 = _g_shifted(1), _g_shifted(2)
     # chain[i] applies D1, D2, D1, ... alternately i times to x: the even

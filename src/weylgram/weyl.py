@@ -26,9 +26,10 @@ nothing.  So do the normal forms built from integer tallies:
 ``NormalForm._trusted`` wraps each as a constant polynomial, while the
 public ``NormalForm(...)`` keeps every check.
 tests/test_weyl_properties.py checks that every one of them passes the
-public constructor unchanged.  ``WeylWord.parse`` checks the whole text
-and sums the word's length from its repetition counts before it builds
-anything; more than ``MAX_WORD_LETTERS`` letters is a ParseError.
+public constructor unchanged.  ``WeylWord.parse`` reads the text with one
+pattern, ``_PIECE``, checks every piece and sums the word's length from
+its repetition counts before it builds anything; more than
+``MAX_WORD_LETTERS`` letters is a ParseError.
 
 ``enumerate_contractions`` and ``wick_sum`` share one walker,
 ``_contraction_nodes``.  Each node it yields carries a contraction's
@@ -77,7 +78,9 @@ CREATION = "c"
 
 # The longest word WeylWord.parse builds: 2**31 letters, 2 GiB as a str.
 MAX_WORD_LETTERS = 2**31
-_LETTER_RUN = re.compile(f"[{ANNIHILATION}{CREATION}]+")
+# The word syntax, one piece a match: a run of letters; a group with an
+# optional ^ and decimal count; an unclosed "("; any other character.
+_PIECE = re.compile(rf"([{ANNIHILATION}{CREATION}]+)|\(([^)]*)\)(?:(\^)(\d*))?|(\()|(.)", re.S)
 
 
 @dataclass(frozen=True)
@@ -105,38 +108,26 @@ class WeylWord:
     def parse(text: str) -> "WeylWord":
         """Parse word syntax: letters with optional ``(...)^n`` repetition.
 
-        The whole text is checked before anything is built, and a word of
-        more than MAX_WORD_LETTERS letters, its length summed from the
-        repetition counts, is a ParseError rather than an allocation."""
-        s = text.replace(" ", "").lower()
+        One findall of _PIECE splits the text, spaces dropped and case
+        folded, into pieces that are checked in order, so the first bad
+        piece names the error.  A word of more than MAX_WORD_LETTERS
+        letters, its length summed from the repetition counts, is a
+        ParseError rather than an allocation."""
         pieces: list[tuple[str, int]] = []  # (letters, repetitions)
-        i = 0
-        while i < len(s):
-            ch = s[i]
-            if ch in (ANNIHILATION, CREATION):
-                run = _LETTER_RUN.match(s, i)
-                pieces.append((run.group(), 1))
-                i = run.end()
-            elif ch == "(":
-                close = s.find(")", i)
-                if close == -1:
-                    raise ParseError(f"unbalanced '(' in word {text!r}")
-                group = s[i + 1 : close]
-                if not group or set(group) - {ANNIHILATION, CREATION}:
-                    raise ParseError(f"bad group {group!r} in word {text!r}")
-                i = close + 1
-                reps = 1
-                if i < len(s) and s[i] == "^":
-                    i += 1
-                    start = i
-                    while i < len(s) and s[i].isdecimal():
-                        i += 1
-                    if start == i:
-                        raise ParseError(f"missing repetition count in word {text!r}")
-                    reps = parse_int(s[start:i], "repetition count", f" in word {text!r}")
-                pieces.append((group, reps))
+        for run, group, caret, count, unclosed, other in _PIECE.findall(text.replace(" ", "").lower()):
+            if run:
+                pieces.append((run, 1))
+            elif unclosed:
+                raise ParseError(f"unbalanced '(' in word {text!r}")
+            elif other:
+                raise ParseError(f"unexpected character {other!r} in word {text!r}")
+            elif not group or set(group) - {ANNIHILATION, CREATION}:
+                raise ParseError(f"bad group {group!r} in word {text!r}")
+            elif caret and not count:
+                raise ParseError(f"missing repetition count in word {text!r}")
             else:
-                raise ParseError(f"unexpected character {ch!r} in word {text!r}")
+                reps = parse_int(count, "repetition count", f" in word {text!r}") if caret else 1
+                pieces.append((group, reps))
         size = sum([len(group) * reps for group, reps in pieces])
         if size > MAX_WORD_LETTERS:
             # a size of more digits than str() converts is named by its digit limit

@@ -86,7 +86,7 @@ def test_criterion_4_wick_two_route_equality():
 
 def test_criterion_5_theorem_suites():
     with criterion(5, "grammar theorem suite", 120.0):
-        report = verify.verify_grammar_theorems(max_n=8, max_r=4)
+        report = verify.verify_grammar_theorems(max_n=8)
         failures = [c.case_id for c in report.cases if not c.passed]
         assert report.passed, failures
 
@@ -217,7 +217,7 @@ def test_criterion_10_rook_correspondence():
                     n, k, 2, 2
                 )
         # the matching board claim for the odd chain is reported, not asserted
-        report = verify.verify_rook(max_n=4, b_max_n=5)
+        report = verify.verify_rook(max_n=4)
         open_cases = [c for c in report.cases if "informational" in c.case_id]
         assert open_cases and report.passed
         for case in open_cases:

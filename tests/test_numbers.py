@@ -247,6 +247,23 @@ def test_accessor_errors_below_the_first_row(call, message):
     assert str(info.value) == message
 
 
+def test_row_walker_builds_each_row_once(monkeypatch):
+    monkeypatch.setattr(weylgram.numbers, "_ROWS", {})
+    built = []
+
+    def next_row(i, prev, pad):
+        built.append(i)
+        return prev + [pad]
+
+    walk = weylgram.numbers._rows
+    assert walk(("demo",), 3, 1, [0, 1], next_row, 7) == [0, 1, 7, 7]
+    assert walk(("demo",), 2, 1, [0, 1], next_row, 7) == [0, 1, 7]
+    assert walk(("demo",), 1, 1, [0, 1], next_row, 7) == [0, 1]
+    assert built == [2, 3]
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        walk(("demo",), 0, 1, [0, 1], next_row, 7)
+
+
 def test_sf_rows():
     assert [sf_numbers(2, k) for k in (0, 1, 2)] == [
         (M - 1) ** 2,

@@ -1,5 +1,6 @@
 """Tests for the verification suites and their report structure."""
 
+import inspect
 import json
 import re
 from collections import Counter
@@ -15,7 +16,6 @@ from weylgram.verify import (
     CaseResult,
     Report,
     run_request,
-    run_suite,
     run_suites,
     verify_bijections,
     verify_grammar_theorems,
@@ -48,7 +48,7 @@ def test_report_info_cases_never_fail():
 
 
 def test_grammar_suite_passes():
-    report = verify_grammar_theorems(max_n=5, max_r=3)
+    report = verify_grammar_theorems(max_n=5)
     assert report.passed
     ids = [c.case_id for c in report.cases]
     assert "stirling-rows/n=5" in ids
@@ -75,13 +75,13 @@ def test_grammar_suite_walks_each_family_once(monkeypatch):
 
 
 def test_weyl_suite_passes():
-    report = verify_weyl(max_len=6, max_n=5)
+    report = verify_weyl(max_n=5)
     assert report.passed
-    assert any(c.case_id == "wick-equals-rewrite/len=6" for c in report.cases)
+    assert any(c.case_id == "wick-equals-rewrite/len=10" for c in report.cases)
 
 
 def test_bijections_suite_passes():
-    report = verify_bijections(max_n=4, count_max_n=6)
+    report = verify_bijections(max_n=4)
     assert report.passed
     assert any(c.case_id == "sequence-table/(ca)^4" for c in report.cases)
     assert any(c.case_id.startswith("twos-distribution") for c in report.cases)
@@ -105,8 +105,8 @@ def count_case_ids(ns):
 def test_bijections_count_check_reads_the_enumerated_sequences(monkeypatch, fault):
     # The walk yields one faulty level and the correct ones after it.  A
     # faulty level 4 fails exactly the count cases of n = 4, for both
-    # families.  The walk stops at level 5 and level 6 is counted from
-    # its prefixes, so a faulty level 5 fails the cases of n = 5 and 6.
+    # families.  The walk stops at level 8 and level 9 is counted from
+    # its prefixes, so a faulty level 8 fails the cases of n = 8 and 9.
     walk = verify._growth_levels
     faulty_length = None
 
@@ -117,11 +117,11 @@ def test_bijections_count_check_reads_the_enumerated_sequences(monkeypatch, faul
             yield level
 
     monkeypatch.setattr(verify, "_growth_levels", faulty)
-    for faulty_length, failing in [(4, [4]), (5, [5, 6])]:
-        report = verify_bijections(max_n=1, count_max_n=6)
+    for faulty_length, failing in [(4, [4]), (8, [8, 9])]:
+        report = verify_bijections(max_n=1)
         failed = [c.case_id for c in report.cases if not c.passed]
         assert failed == count_case_ids(failing)
-        assert sum(c.case_id.startswith("cardinality-") for c in report.cases) == 12
+        assert sum(c.case_id.startswith("cardinality-") for c in report.cases) == 18
 
 
 @pytest.mark.parametrize("family", [STIRLING_FAMILY, P_FAMILY])
@@ -136,8 +136,7 @@ def test_longer_tally_counts_the_built_level(family):
         assert longer == Counter(s.count(b) for s in level)
 
 
-@pytest.mark.parametrize("count_max_n", [2, 9])
-def test_bijections_count_walk_stops_a_level_short(monkeypatch, count_max_n):
+def test_bijections_count_walk_stops_a_level_short(monkeypatch):
     lengths = []
     walk = verify._growth_levels
 
@@ -147,15 +146,11 @@ def test_bijections_count_walk_stops_a_level_short(monkeypatch, count_max_n):
             yield level
 
     monkeypatch.setattr(verify, "_growth_levels", recorded)
-    assert verify_bijections(max_n=1, count_max_n=count_max_n).passed
-    assert max(lengths) == count_max_n - 1
-
-
-@pytest.mark.parametrize("count_max_n", [0, 1, 2])
-def test_bijections_count_cases_at_small_budgets(count_max_n):
-    report = verify_bijections(max_n=1, count_max_n=count_max_n)
+    report = verify_bijections(max_n=1)
+    assert report.passed
+    assert max(lengths) == 8
     count_ids = [c.case_id for c in report.cases if c.case_id.startswith(("cardinality-", "ones-", "twos-"))]
-    assert count_ids == count_case_ids(range(1, count_max_n + 1))
+    assert count_ids == count_case_ids(range(1, 10))
 
 
 def test_identities_suite_passes():
@@ -164,7 +159,7 @@ def test_identities_suite_passes():
 
 
 def test_rook_suite_passes_and_reports_open_comparison():
-    report = verify_rook(max_n=3, b_max_n=4)
+    report = verify_rook(max_n=3)
     assert report.passed
     informational = [c for c in report.cases if "informational" in c.case_id]
     assert informational, "open board comparison must still be reported"
@@ -176,7 +171,7 @@ def test_shift_suite_passes():
 
 
 def test_deformed_suite_passes():
-    report = run_suite("deformed", 6)
+    (report,) = run_suites({"deformed": 6})
     assert report.passed
     assert [c.case_id for c in report.cases] == [f"transfer-equals-walker/len={n}" for n in range(7)]
 
@@ -201,15 +196,20 @@ def _refuse_to_start(monkeypatch):
         monkeypatch.setattr(verify, suite.function, start)
 
 
-def test_run_suite_rejects_budgets_out_of_range_before_starting(monkeypatch):
+def test_suite_functions_take_only_their_budget():
+    for suite in SUITES.values():
+        assert list(inspect.signature(getattr(verify, suite.function)).parameters) == [suite.budget]
+
+
+def test_run_suites_rejects_budgets_out_of_range_before_starting(monkeypatch):
     _refuse_to_start(monkeypatch)
     with pytest.raises(ValueError, match="^--max-n must be between 1 and 4 for the rook suite$"):
-        run_suite("rook", 10)
+        run_suites({"rook": 10})
     for name, suite in SUITES.items():
         message = f"{suite.flag} must be between {suite.low} and {suite.cap} for the {name} suite"
         for budget in (suite.low - 1, suite.cap + 1):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                run_suite(name, budget)
+                run_suites({name: budget})
     # a bad budget anywhere in the list stops the suites listed before it too
     with pytest.raises(ValueError, match="^--order must be between 0 and 10 for the shift suite$"):
         run_suites({"grammar": 3, "rook": None, "shift": 11})
@@ -270,8 +270,8 @@ def test_verify_all_rejects_an_order_out_of_range_before_starting(monkeypatch, c
 
 
 def test_reports_are_deterministic():
-    a = json.dumps(verify_rook(max_n=2, b_max_n=2).to_dict(), indent=2)
-    b = json.dumps(verify_rook(max_n=2, b_max_n=2).to_dict(), indent=2)
+    a = json.dumps(verify_rook(max_n=2).to_dict(), indent=2)
+    b = json.dumps(verify_rook(max_n=2).to_dict(), indent=2)
     assert a == b
     parsed = json.loads(a)
     assert parsed["suite"] == "rook"
@@ -336,13 +336,13 @@ def test_no_suite_changes_a_value_after_checking_it(monkeypatch):
     monkeypatch.setattr(Report, "check", eager(Report.check))
     monkeypatch.setattr(Report, "info", eager(Report.info))
     reports = [
-        verify_grammar_theorems(max_n=4, max_r=3),
-        verify_weyl(max_len=4, max_n=4),
-        verify_bijections(max_n=4, count_max_n=5),
+        verify_grammar_theorems(max_n=4),
+        verify_weyl(max_n=4),
+        verify_bijections(max_n=4),
         verify_identities(max_n=3),
-        verify_rook(max_n=2, b_max_n=3),
+        verify_rook(max_n=2),
         verify_shift(order=4),
-        run_suite("deformed", 4),
+        *run_suites({"deformed": 4}),
     ]
     at_end = [(c["id"], c["expected"], c["actual"]) for r in reports for c in r.to_dict()["cases"]]
     assert at_end == rendered
