@@ -315,6 +315,37 @@ def test_wick_sum_examples():
     )
 
 
+@pytest.mark.parametrize("n", range(10))
+def test_wick_sum_number_operator_rows(n):
+    expected = NormalForm({(k, k): stirling2(n, k) for k in range(n + 1)})
+    assert wick_sum(WeylWord.ca_power(n)) == expected
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_wick_sum_annihilation_power_times_creation_power(n):
+    # a^n c^n = sum_k k! C(n,k)^2 c^(n-k) a^(n-k), the laguerre-square row
+    form = wick_sum(WeylWord("a" * n + "c" * n))
+    expected = {(n - k, n - k): factorial(k) * comb(n, k) ** 2 for k in range(n + 1)}
+    assert form == NormalForm(expected)
+    y = sym("y")
+    row = poly_sum(coeff * y**i for (i, _), coeff in form.terms().items())
+    assert row == special_poly("laguerre-square", n)
+
+
+@pytest.mark.parametrize(
+    "letters, expected",
+    [
+        ("", {(0, 0): 1}),
+        ("c" * 3000, {(3000, 0): 1}),
+        ("a" * 3000, {(0, 3000): 1}),
+        ("a" + "c" * 3000, {(3000, 1): 1, (2999, 0): 3000}),
+    ],
+    ids=["empty", "c^3000", "a^3000", "a c^3000"],
+)
+def test_wick_sum_edge_words(letters, expected):
+    assert wick_sum(WeylWord(letters)) == NormalForm(expected)
+
+
 def test_edge_count_distribution_reverses_triangle():
     for n in range(1, 7):
         contractions = enumerate_contractions(WeylWord.ca_power(n))
