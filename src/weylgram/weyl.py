@@ -31,12 +31,24 @@ pattern, ``_PIECE``, checks every piece and sums the word's length from
 its repetition counts before it builds anything; more than
 ``MAX_WORD_LETTERS`` letters is a ParseError.
 
-``enumerate_contractions`` and ``wick_sum`` share one walker,
-``_contraction_nodes``.  Each node it yields carries a contraction's
-sorted edges, its edge count and its adjacent-edge count, so the tally
-counts nodes without re-reading any edge list.  It builds the word's
-candidate edges once, as one flat list, and keeps O(pairs) memory
-besides its stack.  Its cost grows with the number of contractions.
+The contraction walker, ``_contraction_nodes``, yields one node per
+contraction.  Each node carries the contraction's sorted edges, its edge
+count, its adjacent-edge count and the mask of its contracted creations.
+It builds the word's candidate edges once, as one flat list, and keeps
+O(pairs) memory besides its stack.  Its cost grows with the number of
+contractions.  ``enumerate_contractions`` lists its nodes, and verify.py
+reads it for the weyl suite's contraction counts and as the oracle of
+the ``deformed`` suite.
+
+``wick_sum`` does not walk the contractions.  Its scan,
+``_used_creation_sets``, reads the letters from right to left and groups
+the partial contractions by the set of creations they contract: at each
+``a``, a set stays as it is or gains one unused creation to its right.
+A contraction has one edge per contracted creation, so the final sets,
+tallied by their size, give the normal form.  The scan holds at most
+2^#c sets, one per subset of the word's creations, however many
+contractions they stand for.  It shares no code with the walker or with
+rewriting.
 
 ``normal_order_p`` does not walk the contractions.  Its own route,
 ``_deformed_tally``, is a transfer-matrix count (Stanley, *Enumerative
@@ -58,7 +70,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .ring import (
@@ -283,6 +294,8 @@ def _contraction_nodes(letters: str) -> Iterator[_Node]:
     annihilation first, so the candidates of the annihilations after a
     node's last edge are the list's first ``end`` entries.  The list is
     O(pairs); a tail list per starting candidate would be O(pairs^2).
+    Its callers are ``enumerate_contractions`` and verify.py's weyl and
+    deformed suites; ``wick_sum`` counts by ``_used_creation_sets``.
     """
     creations = [j for j, ch in enumerate(letters, start=1) if ch == CREATION]
     annihilations = [i for i, ch in enumerate(letters, start=1) if ch == ANNIHILATION]
@@ -329,10 +342,41 @@ def _double_dot_key(word: WeylWord, edge_count: int) -> tuple[int, int]:
     return (word.count(CREATION) - edge_count, word.count(ANNIHILATION) - edge_count)
 
 
+def _used_creation_sets(letters: str) -> dict[int, int]:
+    """{mask of contracted creations: contractions that contract exactly
+    them}, a creation at position j being bit 1 << j, as in the walker.
+
+    One scan from the last letter to the first.  ``seen`` holds the bits
+    of the creations scanned so far, each later than any ``a`` still to
+    come.  At an ``a`` every set either keeps it isolated (the set is
+    copied) or contracts it with one creation of ``seen`` not in the set.
+    Each contraction is counted once, in the set of its own creations,
+    so the scan's cost follows the number of distinct sets, at most
+    2^#c, and not the number of contractions."""
+    sets = {0: 1}
+    seen: list[int] = []
+    for j in range(len(letters), 0, -1):
+        if letters[j - 1] == CREATION:
+            seen.append(1 << j)
+            continue
+        step = dict(sets)
+        get = step.get
+        for used, n in sets.items():
+            for bit in seen:
+                if not used & bit:
+                    key = used | bit
+                    step[key] = get(key, 0) + n
+        sets = step
+    return sets
+
+
 def wick_sum(word: WeylWord) -> NormalForm:
     """Normal form as the sum of double-dot images over all contractions:
-    c^(#c - e) a^(#a - e) counts the contractions with e edges."""
-    counts = Counter(map(itemgetter(1), _contraction_nodes(word.letters)))
+    c^(#c - e) a^(#a - e) counts the contractions with e edges, one edge
+    per contracted creation."""
+    counts: Counter[int] = Counter()
+    for used, n in _used_creation_sets(word.letters).items():
+        counts[used.bit_count()] += n
     return NormalForm._trusted((_double_dot_key(word, e), n) for e, n in counts.items())
 
 

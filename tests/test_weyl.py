@@ -346,6 +346,38 @@ def test_wick_sum_edge_words(letters, expected):
     assert wick_sum(WeylWord(letters)) == NormalForm(expected)
 
 
+@pytest.fixture
+def no_walker(monkeypatch):
+    def refuse(letters):
+        raise AssertionError(f"walked the contractions of {letters!r}")
+
+    monkeypatch.setattr(weyl, "_contraction_nodes", refuse)
+
+
+def test_wick_sum_never_walks_diagrams(no_walker):
+    rng = random.Random(27)
+    words = ["", "ac", "acca" * 4, "a" * 9 + "c" * 9]
+    words += ["".join(rng.choice("ac") for _ in range(rng.randint(1, 16))) for _ in range(24)]
+    for letters in words:
+        assert wick_sum(WeylWord(letters)) == normal_order(WeylWord(letters)), letters
+
+
+def test_wick_sum_number_operator_rows_beyond_the_walker(no_walker):
+    # (ca)^16 has Bell(16), about 1.0e10, contractions
+    for n in range(17):
+        expected = NormalForm({(k, k): stirling2(n, k) for k in range(n + 1)})
+        assert wick_sum(WeylWord.ca_power(n)) == expected, n
+
+
+def test_wick_sum_annihilation_power_times_creation_power_beyond_the_walker(no_walker):
+    # a^12 c^12 has about 5.3e10 contractions
+    y = sym("y")
+    for n in range(13):
+        form = wick_sum(WeylWord("a" * n + "c" * n))
+        row = poly_sum(coeff * y**i for (i, _), coeff in form.terms().items())
+        assert row == special_poly("laguerre-square", n), n
+
+
 def test_edge_count_distribution_reverses_triangle():
     for n in range(1, 7):
         contractions = enumerate_contractions(WeylWord.ca_power(n))

@@ -26,6 +26,7 @@ from weylgram.weyl import (
     _contraction_nodes,
     _deformed_tally,
     _rewrite_terms,
+    _used_creation_sets,
     all_words,
     enumerate_contractions,
     normal_order,
@@ -89,6 +90,22 @@ def test_rewriting_coefficients_are_the_rook_numbers_of_the_varvak_board(word):
 def test_transfer_tally_equals_walker_tally(word):
     expected = Counter(node[1:3] for node in _contraction_nodes(word.letters))
     assert _deformed_tally(word.letters) == expected
+
+
+@PROPERTY
+@given(words)
+def test_used_creation_sets_group_the_walker_contractions(word):
+    sets = _used_creation_sets(word.letters)
+    nodes = list(_contraction_nodes(word.letters))
+    assert sum(sets.values()) == len(enumerate_contractions(word))
+    edges = Counter()
+    for used, n in sets.items():
+        edges[used.bit_count()] += n
+    assert edges == Counter(node[1] for node in nodes)
+    creations = sum(1 << j for j, letter in enumerate(word.letters, start=1) if letter == "c")
+    assert all(used & ~creations == 0 for used in sets)
+    # the walker's own mask of used creations, node by node
+    assert sets == Counter(node[3] for node in nodes)
 
 
 def assert_passes_the_constructors(contraction):
