@@ -118,6 +118,26 @@ def test_gen_bell():
         assert gen_bell(n, 1) == bell(n)
 
 
+def test_accessors_vanish_outside_the_row():
+    # row n has n + 1 entries, k = 0..n (n*r + 1 for S_{r,r}); any other k is zero
+    zero = Polynomial.zero()
+    for n in (1, 2, 5):
+        for k in (-1, n + 1, n + 7):
+            assert stirling2(n, k) == 0
+            assert stirling_p(n, k) == zero and q_stirling(n, k) == zero
+            assert whitney(n, k) == zero and whitney(n, k, 2, 3) == zero
+            for variant in ("plain", "bar", "tilde"):
+                assert sf_numbers(n, k, "m", variant) == zero
+            assert gen_stirling_recur(n, k, 3, 1) == 0
+    assert stirling2(4, 0) == 0 and stirling2(0, 0) == 1 and whitney(0, 0) == Polynomial.one()
+    assert stirling_p(4, 0) == zero and q_stirling(4, 0) == zero
+    for r in (2, 3):
+        for n in (1, 2, 4):
+            assert gen_stirling_recur(n, n * r, r, r) == 1
+            for k in (-1, n * r + 1, n * r + 5):
+                assert gen_stirling_recur(n, k, r, r) == 0
+
+
 def test_q_stirling_rows():
     assert [q_stirling(3, k) for k in (1, 2, 3)] == [Q**3, Q**2 + Q + 1, Polynomial.one()]
     for n in range(1, 9):
