@@ -81,6 +81,11 @@ def _two_term(n: int, prev: list, stay: Callable, step: Callable | None = None) 
     return row
 
 
+def _entry(row: Sequence, k: int, zero: int | Polynomial = 0) -> int | Polynomial:
+    """Entry k of a row, and zero outside it."""
+    return row[k] if 0 <= k < len(row) else zero
+
+
 # -- Stirling / Bell ------------------------------------------------------
 
 
@@ -90,8 +95,7 @@ def _stirling2_row(n: int) -> list[int]:
 
 def stirling2(n: int, k: int) -> int:
     """Stirling numbers of the second kind, S(n,k) = k S(n-1,k) + S(n-1,k-1)."""
-    row = _stirling2_row(n)
-    return row[k] if 0 <= k <= n else 0
+    return _entry(_stirling2_row(n), k)
 
 
 def bell(n: int) -> int:
@@ -160,14 +164,12 @@ def _q_stirling_row(n: int) -> list[Polynomial]:
 
 def stirling_p(n: int, k: int) -> Polynomial:
     """S_p(n,k) = (k-1+p) S_p(n-1,k) + S_p(n-1,k-1), S_p(n,1) = p^(n-1)."""
-    row = _stirling_p_row(n)
-    return row[k] if 0 <= k <= n else Polynomial.zero()
+    return _entry(_stirling_p_row(n), k, _ZERO)
 
 
 def q_stirling(n: int, k: int) -> Polynomial:
     """S_q(n+1,k) = (k-1+q^n) S_q(n,k) + S_q(n,k-1), S_q(1,k) = [k=1]."""
-    row = _q_stirling_row(n)
-    return row[k] if 0 <= k <= n else Polynomial.zero()
+    return _entry(_q_stirling_row(n), k, _ZERO)
 
 
 def _gen_stirling_row(n: int, r: int, s: int) -> list[int]:
@@ -197,8 +199,7 @@ def _gen_stirling_rr(n: int, prev: list[int], r: int) -> list[int]:
 
 def gen_stirling_recur(n: int, k: int, r: int, s: int) -> int:
     """Recurrence route for the generalized Stirling numbers (s = 1 or s = r)."""
-    row = _gen_stirling_row(n, r, s)
-    return row[k] if 0 <= k < len(row) else 0
+    return _entry(_gen_stirling_row(n, r, s), k)
 
 
 def gen_stirling_dobinski(n: int, k: int, r: int, s: int) -> int:
@@ -237,8 +238,7 @@ def _whitney_row(n: int, m: ParamValue, r: ParamValue) -> list[Polynomial]:
 
 def whitney(n: int, k: int, m: ParamValue = "m", r: ParamValue = "r") -> Polynomial:
     """Two-parameter Whitney numbers; parameters may stay symbolic."""
-    row = _whitney_row(n, m, r)
-    return row[k] if 0 <= k <= n else Polynomial.zero()
+    return _entry(_whitney_row(n, m, r), k, _ZERO)
 
 
 def dowling_poly(n: int, m: ParamValue = "m", r: ParamValue = "r", var: str = "x") -> Polynomial:
@@ -308,8 +308,7 @@ def sf_numbers(n: int, k: int, m: ParamValue = "m", variant: str = "plain") -> P
     """
     if variant not in SF_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    row = _sf_row(n, m, variant)
-    return row[k] if 0 <= k <= n else Polynomial.zero()
+    return _entry(_sf_row(n, m, variant), k, _ZERO)
 
 
 def sf_from_eulerian(n: int, k: int, m: int) -> int:
@@ -547,9 +546,7 @@ TRIANGLE_FAMILIES: dict[str, _Family] = {
         lambda n, b: range(n),
         lambda n, b: [eulerian_m(n, k, b["m"]) for k in range(n)],
     ),
-    "second-order-eulerian": _Family(
-        {}, lambda n, b: range(n), lambda n, b: _second_order_row(n)
-    ),
+    "second-order-eulerian": _Family({}, lambda n, b: range(n), lambda n, b: _second_order_row(n)),
     "stirling-p": _Family(
         {"p": "sym"},
         lambda n, b: range(1, n + 1),
@@ -570,15 +567,12 @@ TRIANGLE_FAMILIES: dict[str, _Family] = {
         lambda n, b: range(n + 1),
         lambda n, b: _whitney_row(n, b["m"], b["r"]),
     ),
-    "sf-plain": _Family(
-        {"m": "m"}, lambda n, b: range(n + 1), lambda n, b: _sf_row(n, b["m"], "plain")
-    ),
-    "sf-bar": _Family(
-        {"m": "m"}, lambda n, b: range(n + 1), lambda n, b: _sf_row(n, b["m"], "bar")
-    ),
-    "sf-tilde": _Family(
-        {"m": "m"}, lambda n, b: range(n + 1), lambda n, b: _sf_row(n, b["m"], "tilde")
-    ),
+    **{
+        f"sf-{variant}": _Family(
+            {"m": "m"}, lambda n, b: range(n + 1), lambda n, b, variant=variant: _sf_row(n, b["m"], variant)
+        )
+        for variant in SF_VARIANTS
+    },
 }
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import comb, factorial
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple
 
 from . import bijections, numbers, weyl
 from .grammar import (
@@ -191,11 +191,6 @@ def _csv(values) -> str:
     return ",".join(str(v) for v in values)
 
 
-def _row_polynomial(values: Sequence[Polynomial | int], offset: int = 0) -> Polynomial:
-    """sum values[i] * y^(offset+i), the standard row-as-polynomial form."""
-    return poly_sum(Y ** (offset + i) * value for i, value in enumerate(values))
-
-
 def _g_shifted(t: int) -> Grammar:
     return Grammar({"x": (t - 1) * X + X * Y, "y": Y})
 
@@ -212,53 +207,47 @@ def _rr_steps(r: int, max_n: int) -> list[Grammar]:
     return [shifted[t] for t in list(range(1, r + 1)) * (max_n - 1) + [1]]
 
 
-def verify_grammar_theorems(max_n: int = SUITES["grammar"].default) -> Report:
-    """Derivative route equals oracle route for every grammar theorem.
+class _GrammarFamily(NamedTuple):
+    """One family of the grammar suite: its case-id prefix, the steps
+    walked once from x with every=True, the index of the partial that
+    holds row n, and the expected rows, keyed by n."""
 
-    Each family's rows are read from one derivative walk from x:
-    entry k of _derivatives(steps, X, every=True) is x after the first k
-    steps, the first acting first."""
-    max_r = 4
-    report = Report("grammar", {"max_n": max_n, "max_r": max_r})
+    prefix: str
+    steps: list[Grammar]
+    partial: Callable[[int], int]
+    rows: dict[int, Polynomial]
 
-    rows = _derivatives([STIRLING_GRAMMAR] * max_n, X, every=True)
-    for n in range(1, max_n + 1):
-        expected = X * _row_polynomial([numbers.stirling2(n, k) for k in range(1, n + 2)], 1)
-        report.check(f"stirling-rows/n={n}", expected, rows[n])
 
-    rows = _derivatives([P_GRAMMAR] * (max_n - 1), X, every=True)
-    for n in range(2, max_n + 1):
-        expected = X * _row_polynomial([numbers.stirling_p(n, k) for k in range(1, n + 1)])
-        report.check(f"p-stirling-rows/n={n}", expected, rows[n - 1])
+def _grammar_table(max_n: int, max_r: int) -> list[tuple[int, list[_GrammarFamily]]]:
+    """The grammar suite's theorems up to row max_n, in report order: the
+    first n each entry checks and the families it checks together at each n.
+    All but Laguerre-square and Bessel read their rows from
+    numbers.build_triangle, the entries `weylgram triangle` prints: row n
+    sums each entry (n, k) times the monomial shape(n, k), up to the
+    triangle's last row."""
+    same, before = (lambda n: n), (lambda n: n - 1)
+    # the shapes x*y^k, x*y^(k-1), x^(k+1)*y^(n-k) and x^(2n-k)*y^(k+1)
+    x_yk, x_yk_1 = (lambda n, k: X * Y**k), (lambda n, k: X * Y ** (k - 1))
+    xk1_ynk, x2nk_yk1 = (lambda n, k: X ** (k + 1) * Y ** (n - k)), (lambda n, k: X ** (2 * n - k) * Y ** (k + 1))
 
-    for r in range(2, max_r + 1):
+    def triangle(prefix, steps, family, shape, partial=same, last=max_n, **params) -> _GrammarFamily:
+        parts: dict[int, list[Polynomial]] = {}
+        for n, k, value in numbers.build_triangle(family, last, params).entries:
+            parts.setdefault(n, []).append(shape(n, k) * value)
+        return _GrammarFamily(prefix, steps, partial, {n: poly_sum(row) for n, row in parts.items()})
+
+    def special(family: str, y_image: Polynomial) -> _GrammarFamily:
+        rows = {n: X * Y**n * numbers.special_poly(family, n, var="y") for n in range(1, max_n + 1)}
+        return _GrammarFamily(family, [Grammar({"x": X * Y + X * Y**2, "y": y_image})] * max_n, same, rows)
+
+    def s1(r: int) -> _GrammarFamily:
         # row n applies the subscripts (i - 1)*r - (i - 2) for i = 1..n
-        subscripts = [(i - 1) * r - (i - 2) for i in range(1, max_n + 1)]
-        rows = _derivatives([_g_shifted(t) for t in subscripts], X, every=True)
-        for n in range(1, max_n + 1):
-            expected = X * _row_polynomial(
-                [numbers.gen_stirling_recur(n, k, r, 1) for k in range(1, n + 1)], 1
-            )
-            report.check(f"gen-stirling-s1/r={r}/n={n}", expected, rows[n])
+        steps = [_g_shifted((i - 1) * r - (i - 2)) for i in range(1, max_n + 1)]
+        return triangle(f"gen-stirling-s1/r={r}", steps, "gen-stirling", x_yk, r=r, s=1)
 
-    for r in range(2, max_r + 1):
-        rows = _derivatives(_rr_steps(r, max_n), X, every=True)
-        for n in range(1, max_n + 1):
-            expected = X * _row_polynomial(
-                [numbers.gen_stirling_recur(n, k, r, r) for k in range(r, n * r + 1)], 1
-            )
-            report.check(f"gen-stirling-rr/r={r}/n={n}", expected, rows[(n - 1) * r + 1])
-
-    # row n applies the q-powers 1..n-1, the first acting first
-    rows = _derivatives([_g_qpower(t) for t in range(1, max_n)], X, every=True)
-    for n in range(2, max_n + 1):
-        expected = X * _row_polynomial([numbers.q_stirling(n, k) for k in range(1, n + 1)])
-        report.check(f"q-stirling-rows/n={n}", expected, rows[n - 1])
-
-    rows = _derivatives([DOWLING_GRAMMAR] * max_n, X, every=True)
-    for n in range(1, max_n + 1):
-        expected = X * numbers.dowling_poly(n, "m", "r", var="y")
-        report.check(f"dowling-rows/n={n}", expected, rows[n])
+    def rr(r: int) -> _GrammarFamily:
+        shape, partial = (lambda n, k: X * Y ** (k - r + 1)), (lambda n: (n - 1) * r + 1)
+        return triangle(f"gen-stirling-rr/r={r}", _rr_steps(r, max_n), "gen-stirling", shape, partial, r=r)
 
     m = sym("m")
     sf_grammars = {
@@ -266,36 +255,36 @@ def verify_grammar_theorems(max_n: int = SUITES["grammar"].default) -> Report:
         "bar": Grammar({"x": (m - 1) * X + m * X * Y, "y": m * Y}),
         "tilde": Grammar({"x": (m - 1) * X + m * X * Y, "y": m * (Y + Y**2)}),
     }
-    for variant, grammar in sf_grammars.items():
-        rows = _derivatives([grammar] * max_n, X, every=True)
-        for n in range(1, max_n + 1):
-            expected = X * _row_polynomial(
-                [numbers.sf_numbers(n, k, "m", variant) for k in range(n + 1)]
-            )
-            report.check(f"subset-numbers-{variant}/n={n}", expected, rows[n])
-
-    laguerre = Grammar({"x": X * Y + X * Y**2, "y": Y**2})
-    bessel = Grammar({"x": X * Y + X * Y**2, "y": Y**3})
-    laguerre_rows = _derivatives([laguerre] * max_n, X, every=True)
-    bessel_rows = _derivatives([bessel] * max_n, X, every=True)
-    for n in range(1, max_n + 1):
-        expected = X * Y**n * numbers.special_poly("laguerre-square", n, var="y")
-        report.check(f"laguerre-square/n={n}", expected, laguerre_rows[n])
-        expected = X * Y**n * numbers.special_poly("bessel", n, var="y")
-        report.check(f"bessel/n={n}", expected, bessel_rows[n])
-
-    rows = _derivatives([EULERIAN_GRAMMAR] * max_n, X, every=True)
-    for n in range(1, max_n + 1):
-        expected = X * poly_sum(X**k * Y ** (n - k) * numbers.eulerian(n, k) for k in range(n))
-        report.check(f"eulerian-rows/n={n}", expected, rows[n])
-
     last = min(max_n, max(numbers.SECOND_ORDER_EULERIAN_ROWS))
-    rows = _derivatives([SECOND_ORDER_GRAMMAR] * last, X, every=True)
-    for n in range(1, last + 1):
-        row = numbers.SECOND_ORDER_EULERIAN_ROWS[n]
-        expected = poly_sum(X ** (2 * n - k) * Y ** (k + 1) * row[k] for k in range(len(row)))
-        report.check(f"second-order-eulerian/n={n}", expected, rows[n])
+    second_order = [SECOND_ORDER_GRAMMAR] * last
+    return [
+        (1, [triangle("stirling-rows", [STIRLING_GRAMMAR] * max_n, "stirling2", x_yk)]),
+        (2, [triangle("p-stirling-rows", [P_GRAMMAR] * (max_n - 1), "stirling-p", x_yk_1, before)]),
+        *[(1, [s1(r)]) for r in range(2, max_r + 1)],
+        *[(1, [rr(r)]) for r in range(2, max_r + 1)],
+        # row n applies the q-powers 1..n-1, the first acting first
+        (2, [triangle("q-stirling-rows", [_g_qpower(t) for t in range(1, max_n)], "q-stirling", x_yk_1, before)]),
+        (1, [triangle("dowling-rows", [DOWLING_GRAMMAR] * max_n, "whitney", x_yk)]),
+        *[(1, [triangle(f"subset-numbers-{v}", [g] * max_n, f"sf-{v}", x_yk)]) for v, g in sf_grammars.items()],
+        (1, [special("laguerre-square", Y**2), special("bessel", Y**3)]),
+        (1, [triangle("eulerian-rows", [EULERIAN_GRAMMAR] * max_n, "eulerian", xk1_ynk)]),
+        (1, [triangle("second-order-eulerian", second_order, "second-order-eulerian", x2nk_yk1, last=last)]),
+    ]
 
+
+def verify_grammar_theorems(max_n: int = SUITES["grammar"].default) -> Report:
+    """Derivative route equals oracle route for every grammar theorem.
+
+    One loop over _grammar_table: each family's rows are read from one
+    derivative walk from x, whose entry k is x after the first k steps,
+    the first acting first."""
+    max_r = 4
+    report = Report("grammar", {"max_n": max_n, "max_r": max_r})
+    for first, families in _grammar_table(max_n, max_r):
+        walks = [_derivatives(family.steps, X, every=True) for family in families]
+        for n in range(first, max(families[0].rows) + 1):
+            for family, partials in zip(families, walks):
+                report.check(f"{family.prefix}/n={n}", family.rows[n], partials[family.partial(n)])
     return report
 
 

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from weylgram import verify
+from weylgram import numbers, verify
 from weylgram.cli import main
 from weylgram.grammar import FAMILIES, P_FAMILY, STIRLING_FAMILY
 from weylgram.ring import sym
@@ -72,6 +72,34 @@ def test_grammar_suite_walks_each_family_once(monkeypatch):
     monkeypatch.setattr(verify, "_derivatives", counted)
     assert verify_grammar_theorems(10).passed
     assert walks == [True] * 17
+
+
+@pytest.mark.parametrize(
+    "family, prefix, n, k",
+    [
+        ("whitney", "dowling-rows", 1, 0),
+        ("whitney", "dowling-rows", 3, 1),
+        ("whitney", "dowling-rows", 5, 5),
+        ("stirling-p", "p-stirling-rows", 4, 1),
+        ("sf-tilde", "subset-numbers-tilde", 2, 2),
+        ("eulerian", "eulerian-rows", 4, 3),
+        ("second-order-eulerian", "second-order-eulerian", 5, 0),
+    ],
+)
+def test_grammar_suite_reads_its_oracle_rows_from_the_triangle_families(monkeypatch, family, prefix, n, k):
+    # One entry of the family's triangle is off by one, so exactly the
+    # grammar case of that row fails, and every other case still passes.
+    spec = numbers.TRIANGLE_FAMILIES[family]
+
+    def off_by_one(row_n, bound):
+        row = list(spec.row(row_n, bound))
+        if row_n == n:
+            row[k] += 1
+        return row
+
+    monkeypatch.setitem(numbers.TRIANGLE_FAMILIES, family, numbers._Family(spec.params, spec.columns, off_by_one))
+    report = verify_grammar_theorems(5)
+    assert [case.case_id for case in report.cases if not case.passed] == [f"{prefix}/n={n}"]
 
 
 def test_weyl_suite_passes():
