@@ -4,7 +4,8 @@ Each suite runs a family of exact comparisons between independent
 routes (derivation vs. recurrence vs. series vs. brute force) and
 returns a structured report.  Failing cases are recorded, never raised,
 so a suite always runs to completion; reports are deterministic
-byte-for-byte for identical inputs.
+byte-for-byte for identical inputs.  The grammar suite is one loop over
+_grammar_table; all but two of its families read numbers.build_triangle.
 """
 
 from __future__ import annotations
