@@ -111,6 +111,26 @@ def test_gen_stirling_series_route():
     assert gen_stirling_dobinski(3, 1, 2, 2) == 0
 
 
+@pytest.mark.parametrize(
+    "n, row",
+    [
+        (1, [0, 0, 1, 0]),
+        (2, [0, 0, 6, 6, 1, 0]),
+        (3, [0, 0, 72, 168, 96, 18, 1, 0]),
+        (4, [0, 0, 1440, 5760, 6120, 2520, 456, 36, 1, 0]),
+    ],
+)
+def test_dobinski_off_the_recurrence_lines(n, row):
+    # S_{3,2} has no recurrence route; k = 0..2n + 1, one past the support
+    assert [gen_stirling_dobinski(n, k, 3, 2) for k in range(2 * n + 2)] == row
+
+
+def test_eulerian_m_names_a_non_integral_value():
+    with pytest.raises(ArithmeticError) as exc:
+        eulerian_m(0, -1, 1)
+    assert str(exc.value) == "non-integral m-Eulerian value at (0,-1,1)"
+
+
 def test_gen_bell():
     assert gen_bell(2, 3) == 34
     assert gen_bell(1, 5) == 1
