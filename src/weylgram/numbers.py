@@ -5,8 +5,8 @@ numbers on Ferrers boards.
 Each family that admits more than one route gets more than one
 implementation; the verification suites compare them.  Triangle entries
 are exact integers or integer polynomials in the declared parameters;
-any rational intermediate (series extraction, signed sums with a 1/2
-factor, division by m^k k!) is asserted integral before it is returned.
+every division (series extraction, signed sums with a 1/2 factor,
+division by m^k k!) goes through _quotient, which raises unless it is exact.
 
 One walker, ``_rows``, builds every recurrence row by row, with no
 recursion.  It owns the store of built rows and the one check that n is
@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
+from itertools import groupby
 from math import comb, factorial, perm
+from operator import itemgetter
 from typing import Callable, Sequence, Union
 
 from .ring import (
@@ -44,6 +45,15 @@ def _as_param(value: ParamValue) -> Polynomial:
     if isinstance(value, str):
         return sym(value)
     return coerce_polynomial(value)
+
+
+def _quotient(numerator: int, denominator: int, what: str, *at: int) -> int:
+    """numerator / denominator, which must be an integer: else an
+    ArithmeticError names `what` and the arguments `at`."""
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(f"non-integral {what} at ({','.join(map(str, at))})")
+    return quotient
 
 
 # -- recurrence rows -------------------------------------------------------
@@ -124,10 +134,7 @@ def eulerian_m(n: int, k: int, m: int) -> int:
     for j in range(n + 2):
         v = m * (k - j) + 1
         total += (-1) ** j * comb(n + 1, j) * v**n * _sgn(v)
-    half = Fraction(total, 2)
-    if half.denominator != 1:
-        raise ArithmeticError(f"non-integral m-Eulerian value at ({n},{k},{m})")
-    return int(half)
+    return _quotient(total, 2, "m-Eulerian value", n, k, m)
 
 
 def eulerian(n: int, k: int) -> int:
@@ -209,15 +216,13 @@ def gen_stirling_dobinski(n: int, k: int, r: int, s: int) -> int:
         raise ValueError("need n >= 1 and r >= s >= 0")
     if k < 0:
         return 0
-    total = Fraction(0)
+    total = 0
     for j in range(k + 1):
-        product = 1
+        product = (-1) ** (k - j) * comb(k, j)
         for i in range(1, n + 1):
             product *= perm(j + (i - 1) * (r - s), s)
-        total += Fraction(product, factorial(j)) * Fraction((-1) ** (k - j), factorial(k - j))
-    if total.denominator != 1:
-        raise ArithmeticError(f"non-integral series extraction at ({n},{k},{r},{s})")
-    value = int(total)
+        total += product
+    value = _quotient(total, factorial(k), "series extraction", n, k, r, s)
     if not s <= k <= n * s and value != 0:
         raise ArithmeticError(f"nonzero value outside support at ({n},{k},{r},{s})")
     return value
@@ -316,10 +321,7 @@ def sf_from_eulerian(n: int, k: int, m: int) -> int:
     if m < 1:
         raise ValueError("m must be >= 1")
     total = sum(eulerian_m(n, j, m) * _comb0(j, n - k) for j in range(n + 1))
-    value = Fraction(total, m**k * factorial(k))
-    if value.denominator != 1:
-        raise ArithmeticError(f"non-integral subset number at ({n},{k},{m})")
-    return int(value)
+    return _quotient(total, m**k * factorial(k), "subset number", n, k, m)
 
 
 # -- special polynomial families -------------------------------------------
@@ -335,12 +337,10 @@ def special_poly(family: str, n: int, var: str | None = None) -> Polynomial:
         raise ValueError("n must be >= 0")
     if family == "bessel":
         x = sym(var or "x")
-        coeffs = [
-            Fraction(factorial(n + k), factorial(n - k) * factorial(k) * 2**k) for k in range(n + 1)
-        ]
-        if any(c.denominator != 1 for c in coeffs):
-            raise ArithmeticError(f"non-integral coefficient in theta_{n}")
-        return poly_sum(x**k * Polynomial.rational(c) for k, c in enumerate(coeffs))
+        return poly_sum(
+            x**k * _quotient(factorial(n + k), factorial(n - k) * factorial(k) * 2**k, "Bessel coefficient", n, k)
+            for k in range(n + 1)
+        )
     if family == "laguerre-square":
         y = sym(var or "y")
         return poly_sum(
@@ -459,13 +459,9 @@ def falling_factorial_identity_check(n: int, r: int, s: int) -> bool:
     for j in range(1, n + 1):
         product = product * falling_factorial(x + (j - 1) * (r - s), s)
     coeffs = to_falling_factorial_basis(product, "x")
+    route = gen_stirling_recur if s in (1, r) else gen_stirling_dobinski
     for k in range(n * s + 1):
-        actual = coeffs[k] if k < len(coeffs) else Polynomial.zero()
-        if s in (1, r):
-            expected = gen_stirling_recur(n, k, r, s) if s <= k else 0
-        else:
-            expected = gen_stirling_dobinski(n, k, r, s)
-        if actual != Polynomial.rational(expected):
+        if _entry(coeffs, k, _ZERO) != Polynomial.rational(route(n, k, r, s)):
             return False
     return True
 
@@ -498,18 +494,10 @@ class Triangle:
         return json.dumps(payload, indent=2)
 
     def to_plain(self) -> str:
-        lines = []
-        current_n = None
-        row: list[str] = []
-        for n, k, value in self.entries:
-            if n != current_n:
-                if row:
-                    lines.append(f"n={current_n}: " + ", ".join(row))
-                current_n = n
-                row = []
-            row.append(f"k={k}: {value}")
-        if row:
-            lines.append(f"n={current_n}: " + ", ".join(row))
+        lines = [
+            f"n={n}: " + ", ".join(f"k={k}: {value}" for _, k, value in row)
+            for n, row in groupby(self.entries, itemgetter(0))
+        ]
         return "\n".join(lines) + "\n"
 
 

@@ -200,12 +200,12 @@ def _g_qpower(t: int) -> Grammar:
     return Grammar({"x": sym("q") ** t * X + X * Y, "y": Y})
 
 
-def _rr_steps(r: int, max_n: int) -> list[Grammar]:
+def _odd_chain(r: int, max_n: int) -> tuple[list[Grammar], Callable[[int], int]]:
     """The odd chain D1 (Dr ... D2 D1)^(max_n - 1) in acting order, with
-    one Grammar per subscript.  Its row for n <= max_n is the partial
-    after (n - 1)*r + 1 steps, where it reaches [1..r]*(n - 1) + [1]."""
+    one Grammar per subscript, and the index of the partial that holds its
+    row n <= max_n: after (n - 1)*r + 1 steps it has applied [1..r]*(n - 1) + [1]."""
     shifted = {t: _g_shifted(t) for t in range(1, r + 1)}
-    return [shifted[t] for t in list(range(1, r + 1)) * (max_n - 1) + [1]]
+    return [shifted[t] for t in list(range(1, r + 1)) * (max_n - 1) + [1]], lambda n: (n - 1) * r + 1
 
 
 class _GrammarFamily(NamedTuple):
@@ -247,8 +247,8 @@ def _grammar_table(max_n: int, max_r: int) -> list[tuple[int, list[_GrammarFamil
         return triangle(f"gen-stirling-s1/r={r}", steps, "gen-stirling", x_yk, r=r, s=1)
 
     def rr(r: int) -> _GrammarFamily:
-        shape, partial = (lambda n, k: X * Y ** (k - r + 1)), (lambda n: (n - 1) * r + 1)
-        return triangle(f"gen-stirling-rr/r={r}", _rr_steps(r, max_n), "gen-stirling", shape, partial, r=r)
+        (steps, partial), shape = _odd_chain(r, max_n), (lambda n, k: X * Y ** (k - r + 1))
+        return triangle(f"gen-stirling-rr/r={r}", steps, "gen-stirling", shape, partial, r=r)
 
     m = sym("m")
     sf_grammars = {
@@ -562,16 +562,16 @@ def verify_identities(max_n: int = SUITES["identities"].default) -> Report:
             mismatch = 0
             for n in range(1, 7):
                 for k in range(0, n * s + 1):
-                    recur = numbers.gen_stirling_recur(n, k, r, s) if k >= s else 0
-                    if numbers.gen_stirling_dobinski(n, k, r, s) != recur:
+                    if numbers.gen_stirling_dobinski(n, k, r, s) != numbers.gen_stirling_recur(n, k, r, s):
                         mismatch += 1
             report.check(f"series-vs-recurrence/r={r}/s={s}", 0, mismatch)
 
     # the term count of the odd chain result is the generalized Bell number
     for r in range(1, 4):
-        rows = _derivatives(_rr_steps(r, 4), X, every=True)
+        steps, row = _odd_chain(r, 4)
+        partials = _derivatives(steps, X, every=True)
         for n in range(1, 5):
-            result = rows[(n - 1) * r + 1]
+            result = partials[row(n)]
             report.check(
                 f"generalized-bell-term-count/r={r}/n={n}",
                 numbers.gen_bell(n, r),
@@ -661,27 +661,26 @@ def verify_rook(max_n: int = SUITES["rook"].default) -> Report:
     """Rook-number correspondence for the alternating two-grammar chains."""
     b_max_n = 5
     report = Report("rook", {"max_n": max_n, "b_max_n": b_max_n})
-    d1, d2 = _g_shifted(1), _g_shifted(2)
-    # chain[i] applies D1, D2, D1, ... alternately i times to x: the even
-    # chain (D2 D1)^n x is chain[2n], the odd chain D1 (D2 D1)^(n-1) x is
-    # chain[2n-1].
-    steps = [d2 if i % 2 else d1 for i in range(max(2 * max_n, 2 * b_max_n - 1))]
-    chain = _derivatives(steps, X, every=True)
+    # One walk of the odd chain D1 (D2 D1)^(n-1) x, the generalized Stirling
+    # chain for r = 2: its row n is partials[row(n)], and the even chain
+    # (D2 D1)^n x is the partial after it.
+    steps, row = _odd_chain(2, max(max_n + 1, b_max_n))
+    partials = _derivatives(steps, X, every=True)
+
+    def x_y(partial: Polynomial, e: int) -> int:
+        """The coefficient of x*y^e in a partial."""
+        return partial.coefficient(monomial({"x": 1, "y": e}))
 
     for n in range(1, max_n + 1):
-        coeffs = (chain[2 * n].coefficients_in("x")[1]).coefficients_in("y")
-        board = numbers.staircase_board(n)
-        rooks = numbers.rook_numbers(board)
-        actual = [coeffs.get(2 * n - k, Polynomial.zero()).constant_value() for k in range(2 * n + 1)]
-        expected = [rooks[k] if k < len(rooks) else 0 for k in range(2 * n + 1)]
+        even = partials[row(n) + 1]
+        rooks = numbers.rook_numbers(numbers.staircase_board(n))
+        actual = [x_y(even, 2 * n - k) for k in range(2 * n + 1)]
+        expected = [numbers._entry(rooks, k) for k in range(2 * n + 1)]
         report.check(f"even-chain-vs-board/n={n}", _csv(expected), _csv(actual))
 
     for n in range(1, b_max_n + 1):
-        coeffs = (chain[2 * n - 1].coefficients_in("x")[1]).coefficients_in("y")
         expected_row = [numbers.gen_stirling_recur(n, k, 2, 2) for k in range(2, 2 * n + 1)]
-        actual_row = [
-            coeffs.get(k - 1, Polynomial.zero()).constant_value() for k in range(2, 2 * n + 1)
-        ]
+        actual_row = [x_y(partials[row(n)], k - 1) for k in range(2, 2 * n + 1)]
         report.check(f"odd-chain-vs-triangle/n={n}", _csv(expected_row), _csv(actual_row))
 
     # The stated board for the odd chain does not match its placement
@@ -689,16 +688,11 @@ def verify_rook(max_n: int = SUITES["rook"].default) -> Report:
     # unasserted.  Empirically the coefficients do match the board one
     # index smaller (reversed), which is noted when it holds.
     for n in range(1, max_n + 1):
-        poly = chain[2 * n - 1].coefficients_in("x")[1]
-        coeffs = poly.coefficients_in("y")
+        odd = partials[row(n)]
         board = numbers.staircase_board(n, with_extra_column=True)
         smaller = numbers.staircase_board(n - 1, with_extra_column=True)
         smaller_rooks = numbers.rook_numbers(smaller)
-        reversed_match = all(
-            coeffs.get(2 * n - 1 - k, Polynomial.zero()).constant_value()
-            == (smaller_rooks[k] if k < len(smaller_rooks) else 0)
-            for k in range(2 * n)
-        )
+        reversed_match = all(x_y(odd, 2 * n - 1 - k) == numbers._entry(smaller_rooks, k) for k in range(2 * n))
         note = (
             f"; note: reversed coefficients equal rook numbers of F({smaller})"
             if reversed_match
@@ -707,6 +701,6 @@ def verify_rook(max_n: int = SUITES["rook"].default) -> Report:
         report.info(
             f"odd-chain-board-comparison/n={n} (informational)",
             f"rook numbers of F({board}): {numbers.rook_numbers(board)}",
-            f"coefficients of {poly}{note}",
+            f"coefficients of {odd.coefficients_in('x')[1]}{note}",
         )
     return report

@@ -194,6 +194,35 @@ def test_rook_suite_passes_and_reports_open_comparison():
     assert all(c.passed for c in informational)
 
 
+def test_rook_suite_passes_above_the_cli_budget():
+    # max_n 5 is past the CLI's cap of 4, so the walk reaches one row further
+    report = verify_rook(max_n=5)
+    assert report.passed
+    assert [c.case_id for c in report.cases] == [
+        *(f"even-chain-vs-board/n={n}" for n in range(1, 6)),
+        *(f"odd-chain-vs-triangle/n={n}" for n in range(1, 6)),
+        *(f"odd-chain-board-comparison/n={n} (informational)" for n in range(1, 6)),
+    ]
+
+
+def test_the_suites_walk_one_odd_chain(monkeypatch):
+    # For r = 2, D2 in place of the first D1: every row that the grammar,
+    # identities and rook suites read from the odd chain is then wrong, but
+    # for the rook suite's row 1, which reads only the x*y of D_t x = (t - 1)x + xy.
+    odd_chain = verify._odd_chain
+
+    def swapped(r, max_n):
+        steps, row = odd_chain(r, max_n)
+        return ([verify._g_shifted(2), *steps[1:]] if r == 2 else steps), row
+
+    monkeypatch.setattr(verify, "_odd_chain", swapped)
+    cases = [c for report in (verify_grammar_theorems(3), verify_identities(1), verify_rook(2)) for c in report.cases]
+    prefixes = ("gen-stirling-rr/r=2/", "odd-chain-vs-triangle/", "generalized-bell-term-count/r=2/")
+    chained = [c for c in cases if c.case_id.startswith(prefixes)]
+    assert {c.case_id.rsplit("/", 1)[0] + "/" for c in chained} == set(prefixes)
+    assert [c.case_id for c in chained if c.passed] == ["odd-chain-vs-triangle/n=1"]
+
+
 def test_shift_suite_passes():
     assert verify_shift(order=6).passed
 
