@@ -4,6 +4,8 @@ Subcommands: triangle, derive, derive-chain, normal-order, contractions,
 bijection, rook, verify, shift; output is deterministic.  Handlers raise
 ValueError (OSError for --grammar-file) on bad input, and `main` alone prints
 the usage and error lines and exits 2.  Exit 1 means a `verify` check failed.
+The parser reads only `grammar`, `numbers` and the suite table; `weyl`,
+`bijections` and `verify` are imported by the handlers that run them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 from dataclasses import replace
 from typing import Callable, Sequence
 
-from . import bijections, numbers, verify, weyl
+from . import numbers
 from .grammar import (
     FAMILIES,
     GenSequence,
@@ -27,6 +29,7 @@ from .grammar import (
     shift_apply,
 )
 from .ring import parse_int, parse_polynomial
+from .suites import SUITES
 
 
 @functools.cache
@@ -113,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     rook.set_defaults(handler=_cmd_rook)
 
     ver = sub.add_parser("verify", help="run verification suites")
-    ver.add_argument("--suite", default="all", choices=("all", *verify.SUITES))
+    ver.add_argument("--suite", default="all", choices=("all", *SUITES))
     ver.add_argument("--max-n", type=int, default=None)
     ver.add_argument("--order", type=int, default=None, help="series order for the shift suite")
     ver.set_defaults(handler=_cmd_verify)
@@ -201,6 +204,8 @@ def _cmd_derive_chain(args) -> int:
 
 
 def _cmd_normal_order(args) -> int:
+    from . import weyl
+
     params = _parse_params(args.param)
     word = weyl.WeylWord.parse(args.word)
     if params:
@@ -225,8 +230,7 @@ def _cmd_normal_order(args) -> int:
     )
 
 
-def _contraction_dict(contraction: weyl.Contraction) -> dict:
-    stats = weyl.contraction_stats(contraction)
+def _contraction_dict(contraction, stats) -> dict:
     return {
         "word": contraction.word.letters,
         "edges": [list(edge) for edge in contraction.edges],
@@ -240,11 +244,13 @@ def _contraction_dict(contraction: weyl.Contraction) -> dict:
 
 
 def _cmd_contractions(args) -> int:
+    from . import weyl
+
     contractions = weyl.enumerate_contractions(weyl.WeylWord.parse(args.word))
     return _emit(
         args,
         lambda: "\n".join([*map(str, contractions), f"count={len(contractions)}"]),
-        lambda: [_contraction_dict(contraction) for contraction in contractions],
+        lambda: [_contraction_dict(each, weyl.contraction_stats(each)) for each in contractions],
     )
 
 
@@ -257,6 +263,8 @@ def _parse_edges(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def _cmd_bijection(args) -> int:
+    from . import bijections, weyl
+
     if (args.seq is None) == (args.word is None):
         raise ValueError("give exactly one of --seq or --word (with --edges)")
     to_contraction, to_seq = bijections.family_bijections(args.family)
@@ -290,6 +298,8 @@ def _cmd_rook(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     reports = verify.run_request(args.suite, args.max_n, args.order)
     passed = all(report.passed for report in reports)
     overall = f"overall: {'PASS' if passed else 'FAIL'}"

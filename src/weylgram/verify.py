@@ -37,6 +37,7 @@ from .grammar import (
     shift_apply,
 )
 from .ring import Polynomial, TruncatedSeries, falling_factorial, monomial, poly_sum, sym
+from .suites import SUITES
 
 X = sym("x")
 Y = sym("y")
@@ -113,40 +114,6 @@ class Report:
         verdict = "PASS" if self.passed else "FAIL"
         lines.append(f"  => {verdict} ({sum(c.passed for c in self.cases)}/{len(self.cases)} cases)")
         return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class Suite:
-    """One verification suite: the module-level function that runs it
-    (looked up by name when it runs), the keyword its budget is passed
-    as, the budget's default and accepted range, and whether
-    `verify --suite all` runs it."""
-
-    function: str
-    budget: str
-    default: int
-    low: int
-    cap: int
-    in_all: bool = True
-
-    @property
-    def flag(self) -> str:
-        """The command-line flag that sets the budget, e.g. --max-n."""
-        return "--" + self.budget.replace("_", "-")
-
-
-# Every suite; `verify --suite all` runs those with in_all, in this order.
-# A suite's function takes only its budget: its other sizes are fixed in
-# its body, and its report's params still show them.
-SUITES: dict[str, Suite] = {
-    "grammar": Suite("verify_grammar_theorems", "max_n", 8, 1, 10),
-    "weyl": Suite("verify_weyl", "max_n", 8, 1, 10),
-    "bijections": Suite("verify_bijections", "max_n", 6, 1, 7),
-    "identities": Suite("verify_identities", "max_n", 8, 1, 10),
-    "rook": Suite("verify_rook", "max_n", 4, 1, 4),
-    "shift": Suite("verify_shift", "order", 8, 0, 10),
-    "deformed": Suite("verify_deformed", "max_n", 10, 1, 12, in_all=False),
-}
 
 
 def run_suites(budgets: dict[str, int | None]) -> list[Report]:

@@ -412,6 +412,54 @@ def test_main_builds_the_parser_once_per_process(capsys):
     assert build_parser() is build_parser()
 
 
+# Run in a fresh interpreter: after `import weylgram.cli` and `build_parser()`,
+# and after each command given as JSON in argv[1], print which of the layers
+# that the parser does not read are loaded.
+FOOTPRINT = """
+import contextlib, io, json, sys
+import weylgram.cli as cli
+cli.build_parser()
+def loaded():
+    return [name for name in ("bijections", "verify", "weyl") if "weylgram." + name in sys.modules]
+seen = [loaded()]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(argv):
+            sys.exit(f"{argv} failed")
+    seen.append(loaded())
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize(
+    "commands, loaded",
+    [
+        (
+            [
+                ["derive", "--grammar", "x -> x*y; y -> y", "--start", "x", "--steps", "3"],
+                ["derive-chain", "--chain", "x -> x*y; y -> y", "--chain", "x -> y", "--start", "x"],
+                ["shift", "--grammar", "x -> x*y; y -> y", "--start", "x", "--order", "3"],
+                ["triangle", "--family", "stirling2", "--n", "4", "--format", "json"],
+                ["rook", "--board", "1,1,3,3"],
+            ],
+            [],
+        ),
+        ([["normal-order", "--word", "(ca)^3", "--param", "p=sym"]], ["weyl"]),
+        ([["contractions", "--word", "caca", "--format", "json"]], ["weyl"]),
+        ([["bijection", "--family", "stirling", "--seq", "1,2,1"]], ["bijections", "weyl"]),
+        ([["verify", "--suite", "rook", "--max-n", "1"]], ["bijections", "verify", "weyl"]),
+    ],
+    ids=["parser-only", "normal-order", "contractions", "bijection", "verify"],
+)
+def test_start_up_loads_only_what_the_command_runs(commands, loaded):
+    env = dict(os.environ, PYTHONPATH=str(Path(weylgram.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, json.dumps(commands)], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[]] + [loaded] * len(commands)
+
+
 def _nested(text, depth):
     return "(" * depth + text + ")" * depth
 
