@@ -36,7 +36,7 @@ from .grammar import (
     growth_sequences,
     shift_apply,
 )
-from .ring import Polynomial, TruncatedSeries, falling_factorial, monomial, poly_sum, sym
+from .ring import Polynomial, TruncatedSeries, falling_factorial, monomial, monomial_degree, poly_sum, sym
 from .suites import SUITES
 
 X = sym("x")
@@ -294,18 +294,25 @@ def verify_weyl(max_n: int = SUITES["weyl"].default) -> Report:
 
 
 def verify_deformed(max_n: int = SUITES["deformed"].default) -> Report:
-    """The transfer-matrix tally behind ``normal_order_p`` equals the
-    contraction walker's (edges, adjacent edges) tally on every word of
-    at most max_n letters."""
+    """``normal_order_p`` counts the contractions of every word of at most
+    max_n letters as the contraction walker does.  Its term n p^t c^i a^j
+    stands for n contractions with #a - j edges, t of them adjacent, and
+    the walker tallies its nodes by (edges, adjacent edges)."""
     report = Report("deformed", {"max_n": max_n})
     for length in range(max_n + 1):
-        mismatches = [
-            word.letters
-            for word in weyl.all_words(length)
-            if weyl._deformed_tally(word.letters)
-            != Counter(map(itemgetter(1, 2), weyl._contraction_nodes(word.letters)))
-        ]
+        mismatches = []
+        for word in weyl.all_words(length):
+            annihilations = word.count(weyl.ANNIHILATION)
+            tally = {
+                (annihilations - j, monomial_degree(mono)): n
+                for (_, j), coeff in weyl.normal_order_p(word).terms().items()
+                for mono, n in coeff.terms().items()
+            }
+            if tally != Counter(map(itemgetter(1, 2), weyl._contraction_nodes(word.letters))):
+                mismatches.append(word.letters)
         actual = "0 mismatches" if not mismatches else f"{len(mismatches)} mismatches (first: {mismatches[0]!r})"
+        # The id names the transfer scan that computed the p-form before it
+        # was rewriting; case ids are output bytes, so it stays.
         report.check(f"transfer-equals-walker/len={length}", "0 mismatches", actual)
     return report
 

@@ -4,11 +4,12 @@ Words are strings over the letters ``a`` (annihilation, white vertex)
 and ``c`` (creation, black vertex); the same word can be read as a word
 in D and X, since both pairs obey the commutation rule a*c = c*a + 1.
 
-Two independent routes to the normal form are provided: rewriting
-(``normal_order``, multiplying by one letter at a time with a*c = c*a + 1)
-and summation over contractions (``wick_sum``, counting them by number
-of edges); their agreement is a core verification target.
-``normal_order_p`` weighs each contracted adjacent pair by a symbol p.
+Independent routes to the normal form are provided: rewriting
+(``normal_order``, multiplying by one letter at a time with a*c = c*a + 1),
+summation over contractions (``wick_sum``, counting them by number of
+edges) and the contraction walker; their agreement is a core
+verification target.  ``normal_order_p`` weighs each contracted adjacent
+pair by a symbol p.
 
 Rewriting holds a prefix's normal form on one index.  Every term
 c^i a^j of it has i - j = #c - #a of the prefix, so the form is one list
@@ -50,15 +51,15 @@ tallied by their size, give the normal form.  The scan holds at most
 contractions they stand for.  It shares no code with the walker or with
 rewriting.
 
-``normal_order_p`` does not walk the contractions.  Its own route,
-``_deformed_tally``, is a transfer-matrix count (Stanley, *Enumerative
-Combinatorics I*, 4.7) over the word's letters, in polynomial time: a
-contraction is a rook placement on the word's Ferrers board (Varvak,
-"Rook numbers and the normal ordering problem", JCTA 2005), and a
-left-to-right scan can count those placements by (edges, adjacent
-edges) from a few numbers per state.  It shares no code with the walker
-or with rewriting, so the walker's tally is its oracle (the ``deformed``
-suite in verify.py).
+``normal_order_p`` rewrites too, on a pass of its own that keeps each
+coefficient as a list over the powers of p.  A ``c`` right after an
+``a`` contracts that ``a``, open in every term, with weight p, and any
+other open ``a`` with weight 1; every other ``c`` weighs each open ``a``
+by 1, as in ``normal_order``.  It shares no code with rewriting, the
+Wick scan or the walker, so the walker's tally by (edges, adjacent
+edges) is its oracle (the ``deformed`` suite in verify.py), and
+tests/test_route_independence.py checks by reading this file that the
+routes share no helper.
 """
 
 from __future__ import annotations
@@ -74,7 +75,6 @@ from typing import Iterable, Iterator, Mapping
 
 from .ring import (
     ONE_MONOMIAL,
-    Monomial,
     ParseError,
     Polynomial,
     _from_clean,
@@ -336,12 +336,6 @@ def contraction_stats(contraction: Contraction) -> ContractionStats:
     )
 
 
-def _double_dot_key(word: WeylWord, edge_count: int) -> tuple[int, int]:
-    # Deleting the contracted letters and sorting creation-first leaves
-    # (#c - edges) creations and (#a - edges) annihilations.
-    return (word.count(CREATION) - edge_count, word.count(ANNIHILATION) - edge_count)
-
-
 def _used_creation_sets(letters: str) -> dict[int, int]:
     """{mask of contracted creations: contractions that contract exactly
     them}, a creation at position j being bit 1 << j, as in the walker.
@@ -377,64 +371,41 @@ def wick_sum(word: WeylWord) -> NormalForm:
     counts: Counter[int] = Counter()
     for used, n in _used_creation_sets(word.letters).items():
         counts[used.bit_count()] += n
-    return NormalForm._trusted((_double_dot_key(word, e), n) for e, n in counts.items())
-
-
-def _deformed_tally(letters: str) -> dict[tuple[int, int], int]:
-    """{(edges, adjacent edges): contractions of the word with them}.
-
-    One scan over the letters.  A state is (open annihilations, edges,
-    adjacent edges), and maps to the number of partial contractions in
-    it; ``fresh`` holds the states whose previous letter is an opened
-    ``a``, ``settled`` all others.  An ``a`` stays isolated (settled) or
-    opens (fresh).  A ``c`` stays isolated or closes: on the ``a`` just
-    before it (an adjacent edge, fresh states only) or on any other open
-    ``a``.  A state with more open annihilations than creations left can
-    never close them all, so it is dropped; at the end only the states
-    with none open count.
-    """
-    left = letters.count(CREATION)
-    settled: dict[tuple[int, int, int], int] = {(0, 0, 0): 1}
-    fresh: dict[tuple[int, int, int], int] = {}
-    for letter in letters:
-        if letter == ANNIHILATION:
-            get = settled.get
-            for key, n in fresh.items():
-                settled[key] = get(key, 0) + n
-            fresh = {
-                (opened + 1, e, adjacent): n
-                for (opened, e, adjacent), n in settled.items()
-                if opened < left
-            }
-            continue
-        left -= 1
-        step = {key: n for key, n in settled.items() if key[0] <= left}
-        get = step.get
-        for (opened, e, adjacent), n in settled.items():
-            if opened:
-                key = (opened - 1, e + 1, adjacent)
-                step[key] = get(key, 0) + opened * n
-        for (opened, e, adjacent), n in fresh.items():
-            if opened <= left:
-                key = (opened, e, adjacent)
-                step[key] = get(key, 0) + n
-            key = (opened - 1, e + 1, adjacent + 1)
-            step[key] = get(key, 0) + n
-            if opened > 1:
-                key = (opened - 1, e + 1, adjacent)
-                step[key] = get(key, 0) + (opened - 1) * n
-        settled, fresh = step, {}
-    return {(e, adjacent): n for (opened, e, adjacent), n in settled.items() if not opened}
+    creations, annihilations = word.count(CREATION), word.count(ANNIHILATION)
+    return NormalForm._trusted(((creations - e, annihilations - e), n) for e, n in counts.items())
 
 
 def normal_order_p(word: WeylWord, p: str = "p") -> NormalForm:
     """Deformed normal form: each contracted adjacent pair weighs p,
-    non-adjacent pairs weigh 1.  The contractions are counted by
-    ``_deformed_tally``, in time polynomial in the word's length."""
-    terms: dict[tuple[int, int], dict[Monomial, int]] = {}
-    for (e, adjacent), n in _deformed_tally(word.letters).items():
-        terms.setdefault(_double_dot_key(word, e), {})[monomial({p: adjacent})] = n
-    return NormalForm({key: Polynomial(weights) for key, weights in terms.items()})
+    non-adjacent pairs weigh 1.
+
+    Rewriting with weights, on its own pass: coeffs[j][t] is the
+    coefficient of p^t c^(j + #c - #a) a^j in the prefix's form.  An
+    ``a`` inserts an empty coefficient at index 0.  A ``c`` contracts
+    one of the j + 1 open annihilations of c^i a^(j+1), so coeffs[j] +=
+    (j + 1) * coeffs[j + 1].  Right after an ``a``, that ``a`` is open in
+    every term and its pair with the ``c`` is adjacent: it weighs p and
+    each of the other j weighs 1, so coeffs[j] += (j + p) * coeffs[j + 1].
+    A word costs at most #c * (#a + 1) list updates, each over the
+    powers p^0..p^m, m the number of adjacent pairs ``ac`` in the word."""
+    coeffs: list[list[int]] = [[1]]
+    adjacent = False  # the letter before is an a
+    for letter in word.letters:
+        if letter == ANNIHILATION:
+            coeffs.insert(0, [])
+            adjacent = True
+            continue
+        for j in range(len(coeffs) - 1):
+            above = coeffs[j + 1]
+            if adjacent:  # (j + p) * above, term by term: j * above[t] + above[t - 1]
+                step = [j * n + m for n, m in zip(above, [0] + above)] + above[-1:]
+            else:
+                step = [(j + 1) * n for n in above]
+            coeffs[j] = [n + m for n, m in itertools.zip_longest(coeffs[j], step, fillvalue=0)]
+        adjacent = False
+    shift = word.count(CREATION) - word.count(ANNIHILATION)
+    polys = [Polynomial({monomial({p: t}): n for t, n in enumerate(row) if n}) for row in coeffs]
+    return NormalForm({(j + shift, j): poly for j, poly in enumerate(polys)})
 
 
 # Whole words only: the rewriting itself keeps no memo, and the cache

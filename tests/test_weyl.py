@@ -16,7 +16,6 @@ from weylgram.weyl import (
     NormalForm,
     WeylWord,
     _contraction_nodes,
-    _deformed_tally,
     _rewrite_terms,
     all_words,
     contraction_stats,
@@ -208,12 +207,22 @@ def test_walker_matches_reference_on_all_short_words():
             assert got == expected, word.letters
 
 
-def test_transfer_tally_matches_walker_on_all_short_words():
-    # the walker's (edges, adjacent edges) tally is the transfer route's oracle
+def walker_p_form(word):
+    """The p-form from the walker's tally: a contraction with e edges, t
+    of them adjacent, adds p^t to the coefficient of c^(#c-e) a^(#a-e)."""
+    tally = Counter(node[1:3] for node in _contraction_nodes(word.letters))
+    weighted: dict = {}
+    for (edges, adjacent), n in tally.items():
+        key = (word.count("c") - edges, word.count("a") - edges)
+        weighted[key] = weighted.get(key, 0) + n * P**adjacent
+    return NormalForm(weighted)
+
+
+def test_p_form_matches_walker_on_all_short_words():
+    # the walker's (edges, adjacent edges) tally is the p-form's oracle
     for length in range(10):
         for word in all_words(length):
-            expected = Counter(node[1:3] for node in _contraction_nodes(word.letters))
-            assert _deformed_tally(word.letters) == expected, word.letters
+            assert normal_order_p(word) == walker_p_form(word), word.letters
 
 
 def test_walker_builds_its_candidates_in_linear_memory():
@@ -416,8 +425,8 @@ def test_deformed_rows():
     assert normal_order_p(WeylWord.ca_power(3)) == NormalForm(
         {(3, 3): 1, (2, 2): 2 * P + 1, (1, 1): P**2}
     )
-    # (ca)^30 has Bell(30), about 8.5e23, contractions: out of the walker's reach
-    for n in range(1, 31):
+    # (ca)^60 has Bell(60), about 9.8e59, contractions: out of the walker's reach
+    for n in range(1, 61):
         expected = NormalForm({(k, k): stirling_p(n, k) for k in range(1, n + 1)})
         assert normal_order_p(WeylWord.ca_power(n)) == expected
 

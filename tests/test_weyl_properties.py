@@ -2,9 +2,10 @@
 
 Rewriting, the Wick sum, the p-form at p = 1 and the rook numbers of the
 word's Ferrers board (Varvak) are independent routes to the same counts,
-and the transfer-matrix tally behind the p-form equals the contraction
-walker's.  Words past the enumerators' reach, up to 48 letters, are
-checked against the p-form, the one other route in polynomial time.
+and the p-form equals the contraction walker's tally by (edges, adjacent
+edges).  Words past the enumerators' reach, up to 48 letters, are
+checked against the p-form at p = 1: the same recurrence as rewriting,
+run by a pass of its own code.
 
 The words, contractions and integer normal forms the program builds
 itself skip the checks of the public constructors; here each of them
@@ -24,7 +25,6 @@ from weylgram.weyl import (
     NormalForm,
     WeylWord,
     _contraction_nodes,
-    _deformed_tally,
     _rewrite_terms,
     _used_creation_sets,
     all_words,
@@ -33,6 +33,7 @@ from weylgram.weyl import (
     normal_order_p,
     wick_sum,
 )
+from test_weyl import walker_p_form
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
@@ -87,9 +88,8 @@ def test_rewriting_coefficients_are_the_rook_numbers_of_the_varvak_board(word):
 
 @PROPERTY
 @given(words)
-def test_transfer_tally_equals_walker_tally(word):
-    expected = Counter(node[1:3] for node in _contraction_nodes(word.letters))
-    assert _deformed_tally(word.letters) == expected
+def test_p_form_equals_walker_tally(word):
+    assert normal_order_p(word) == walker_p_form(word)
 
 
 @PROPERTY
