@@ -1,11 +1,11 @@
 """Property tests: the normal-ordering routes agree on random words.
 
-Rewriting, the Wick sum, the p-form at p = 1 and the rook numbers of the
-word's Ferrers board (Varvak) are independent routes to the same counts,
-and the p-form equals the contraction walker's tally by (edges, adjacent
-edges).  Words past the enumerators' reach, up to 48 letters, are
-checked against the p-form at p = 1: the same recurrence as rewriting,
-run by a pass of its own code.
+Rewriting, the Wick sum and the rook numbers of the word's Ferrers
+board (Varvak) are independent routes to the same counts, and the p-form
+equals the contraction walker's tally by (edges, adjacent edges).  Words
+past the enumerators' reach, up to 48 letters, are checked against the
+p-form at p = 1: the same recurrence as rewriting, run by a pass of its
+own code.
 
 The words, contractions and integer normal forms the program builds
 itself skip the checks of the public constructors; here each of them
