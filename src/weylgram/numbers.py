@@ -161,12 +161,15 @@ SECOND_ORDER_EULERIAN_ROWS: dict[int, tuple[int, ...]] = {
 _ZERO, _ONE, _P, _Q = Polynomial.zero(), Polynomial.one(), sym("p"), sym("q")
 
 
-def _stirling_p_row(n: int) -> list[Polynomial]:
-    return _rows(("stirling-p",), n, 1, [_ZERO, _ONE], _two_term, lambda n, k: _P + (k - 1))
+# p or q is an integer, bound as the row is built, or None for the symbol.
+def _stirling_p_row(n: int, p: int | None = None) -> list[Polynomial]:
+    return _rows(("stirling-p", p), n, 1, [_ZERO, _ONE], _two_term, lambda n, k: (_P if p is None else p) + (k - 1))
 
 
-def _q_stirling_row(n: int) -> list[Polynomial]:
-    return _rows(("q-stirling",), n, 1, [_ZERO, _ONE], _two_term, lambda n, k: _Q ** (n - 1) + (k - 1))
+def _q_stirling_row(n: int, q: int | None = None) -> list[Polynomial]:
+    return _rows(
+        ("q-stirling", q), n, 1, [_ZERO, _ONE], _two_term, lambda n, k: (_Q if q is None else q) ** (n - 1) + (k - 1)
+    )
 
 
 def stirling_p(n: int, k: int) -> Polynomial:
@@ -514,11 +517,6 @@ class _Family:
     row: Callable[[int, dict], Sequence[int | Polynomial]]
 
 
-def _bind_int(row: list[Polynomial], name: str, param: ParamValue) -> list[Polynomial]:
-    """Substitute an integer parameter into a row; any other binding stays symbolic."""
-    return [value.substitute(name, param) for value in row] if isinstance(param, int) else row
-
-
 def _second_order_row(n: int) -> tuple[int, ...]:
     if n not in SECOND_ORDER_EULERIAN_ROWS:
         raise ValueError(f"bundled reference rows stop at n={max(SECOND_ORDER_EULERIAN_ROWS)}")
@@ -538,12 +536,12 @@ TRIANGLE_FAMILIES: dict[str, _Family] = {
     "stirling-p": _Family(
         {"p": "sym"},
         lambda n, b: range(1, n + 1),
-        lambda n, b: _bind_int(_stirling_p_row(n), "p", b["p"]),
+        lambda n, b: _stirling_p_row(n, b["p"] if isinstance(b["p"], int) else None),
     ),
     "q-stirling": _Family(
         {"q": "sym"},
         lambda n, b: range(1, n + 1),
-        lambda n, b: _bind_int(_q_stirling_row(n), "q", b["q"]),
+        lambda n, b: _q_stirling_row(n, b["q"] if isinstance(b["q"], int) else None),
     ),
     "gen-stirling": _Family(
         {"r": 2, "s": lambda b: b["r"]},

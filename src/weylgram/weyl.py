@@ -17,20 +17,21 @@ of coefficients indexed by j.  Each ``c`` costs one integer update per
 list entry, at most #c * (#a + 1) updates for the word, and each ``a``
 one list insert.
 
-``WeylWord(...)`` and ``Contraction(...)`` are the boundary: they check
-every input, from the CLI or from a library caller.  The words and
-contractions that this module builds itself (``WeylWord.ca_power``,
-``all_words``, ``enumerate_contractions``) are valid by construction and
-go through each class's private ``_trusted`` builder, which checks
-nothing.  So do the normal forms built from integer tallies:
-``normal_order`` and ``wick_sum`` count positive ints, and
+``WeylWord(...)``, ``WeylWord.parse`` and ``Contraction(...)`` are the
+boundary: they check every input, from the CLI or from a library caller.
+The words and contractions that this module builds itself
+(``WeylWord.ca_power``, ``all_words``, ``enumerate_contractions``, and
+the word that ``WeylWord.parse`` joins from checked pieces) are valid by
+construction and go through each class's private ``_trusted`` builder,
+which checks nothing.  So do the normal forms built from integer
+tallies: ``normal_order`` and ``wick_sum`` count positive ints, and
 ``NormalForm._trusted`` wraps each as a constant polynomial, while the
 public ``NormalForm(...)`` keeps every check.
 tests/test_weyl_properties.py checks that every one of them passes the
-public constructor unchanged.  ``WeylWord.parse`` reads the text with one
-pattern, ``_PIECE``, checks every piece and sums the word's length from
-its repetition counts before it builds anything; more than
-``MAX_WORD_LETTERS`` letters is a ParseError.
+public constructor unchanged.  ``WeylWord.parse`` reads the text with
+one pattern, ``_PIECE``, checks each letter once, in its piece, and sums
+the word's length from its repetition counts before it builds anything;
+more than ``MAX_WORD_LETTERS`` letters is a ParseError.
 
 The contraction walker, ``_contraction_nodes``, yields one node per
 contraction.  Each node carries the contraction's sorted edges, its edge
@@ -121,9 +122,9 @@ class WeylWord:
 
         One findall of _PIECE splits the text, spaces dropped and case
         folded, into pieces that are checked in order, so the first bad
-        piece names the error.  A word of more than MAX_WORD_LETTERS
-        letters, its length summed from the repetition counts, is a
-        ParseError rather than an allocation."""
+        piece names the error, and the word they join is built _trusted.
+        More than MAX_WORD_LETTERS letters, summed from the repetition
+        counts, is a ParseError rather than an allocation."""
         pieces: list[tuple[str, int]] = []  # (letters, repetitions)
         for run, group, caret, count, unclosed, other in _PIECE.findall(text.replace(" ", "").lower()):
             if run:
@@ -147,7 +148,7 @@ class WeylWord:
             raise ParseError(
                 f"word {text!r} has {letters} letters, more than the limit of {MAX_WORD_LETTERS}"
             )
-        return WeylWord("".join([group * reps for group, reps in pieces]))
+        return WeylWord._trusted("".join([group * reps for group, reps in pieces]))
 
     @staticmethod
     def ca_power(n: int) -> "WeylWord":

@@ -10,6 +10,7 @@ from math import comb, factorial
 import pytest
 
 import weylgram
+from weylgram import numbers
 from weylgram.grammar import Grammar, derive_n
 from weylgram.ring import ParseError
 from weylgram.numbers import (
@@ -560,6 +561,32 @@ def test_triangle_values_reparse_and_are_integral():
         build_triangle("second-order-eulerian", 9)
     with pytest.raises(ValueError, match=r"allowed: m, r"):
         build_triangle("whitney", 3, {"p": 3})
+
+
+@pytest.mark.parametrize(
+    "family, name, accessor, first_column",
+    [
+        ("stirling-p", "p", stirling_p, lambda n: (n - 1)),
+        ("q-stirling", "q", q_stirling, lambda n: n * (n - 1) // 2),
+    ],
+)
+def test_integer_parameter_binds_as_a_substitution(monkeypatch, family, name, accessor, first_column):
+    # An integer p or q is bound as the rows are built; each entry must be
+    # the symbolic entry with the integer substituted.  The store starts
+    # empty, so the bound rows are built before the symbolic ones, and
+    # neither may be served for the other.
+    monkeypatch.setattr(numbers, "_ROWS", {})
+    bound = {v: build_triangle(family, 25, {name: v}) for v in range(-3, 5)}
+    symbolic = build_triangle(family, 25).entries
+    assert [accessor(n, 1) for n in range(1, 26)] == [sym(name) ** first_column(n) for n in range(1, 26)]
+    assert [accessor(n, k) for n, k, _ in symbolic] == [value for _, _, value in symbolic]
+    for v, triangle in bound.items():
+        assert triangle.params == {name: str(v)}
+        assert triangle.entries == tuple((n, k, value.substitute(name, v)) for n, k, value in symbolic)
+    row = numbers._stirling_p_row(25, 3) if name == "p" else numbers._q_stirling_row(25, 3)
+    assert all(type(value) is Polynomial for value in row)
+    # Any other binding leaves the symbol, as an unset parameter does.
+    assert build_triangle(family, 6, {name: X + 1}).entries == build_triangle(family, 6).entries
 
 
 def test_dobinski_rejects_bad_parameters():

@@ -73,6 +73,21 @@ def test_word_parse_table(text, result):
     assert str(info.value) == f"{result} in word {text!r}"
 
 
+def test_parse_checks_each_letter_once(monkeypatch):
+    # Every piece is checked as it is read, so the word is built without
+    # WeylWord.__post_init__, which would scan every letter again.
+    def refuse(self):
+        raise AssertionError("WeylWord.__post_init__ ran")
+
+    monkeypatch.setattr(WeylWord, "__post_init__", refuse)
+    assert WeylWord.parse("a(ca)^3 C").letters == "acacacac"
+    assert WeylWord.parse("").letters == ""
+    with pytest.raises(ParseError, match=r"^bad group 'cb' in word"):
+        WeylWord.parse("a(cb)")
+    with pytest.raises(AssertionError):
+        WeylWord("ca")
+
+
 def test_word_length_is_checked_before_the_word_is_built(monkeypatch):
     # 2 * 10^11 letters: building the word would ask for 200 GB at once.
     tracemalloc.start()

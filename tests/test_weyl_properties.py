@@ -8,8 +8,9 @@ p-form at p = 1: the same recurrence as rewriting, run by a pass of its
 own code.
 
 The words, contractions and integer normal forms the program builds
-itself skip the checks of the public constructors; here each of them
-must pass those checks unchanged, with its edges already sorted."""
+itself, and the words that WeylWord.parse joins from checked pieces,
+skip the checks of the public constructors; here each of them must pass
+those checks unchanged, with its edges already sorted."""
 
 from collections import Counter
 
@@ -39,6 +40,19 @@ PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
 words = st.text(alphabet="ac", max_size=12).map(WeylWord)
 long_words = st.text(alphabet="ac", min_size=13, max_size=48).map(WeylWord)
+# Word syntax that WeylWord.parse accepts: runs of letters in either case
+# with spaces, and groups with or without a repetition count.
+word_texts = st.lists(
+    st.one_of(
+        st.text(alphabet="acAC ", min_size=1, max_size=4),
+        st.builds(
+            "({}){}".format,
+            st.text(alphabet="acAC", min_size=1, max_size=3),
+            st.sampled_from(["", "^0", "^1", "^2", "^3", "^ 03"]),
+        ),
+    ),
+    max_size=5,
+).map("".join)
 
 
 def varvak_board(word):
@@ -131,6 +145,13 @@ def test_every_listed_word_is_valid():
     for length in range(7):
         for word in all_words(length):
             assert WeylWord(word.letters) == word
+
+
+@PROPERTY
+@given(word_texts)
+def test_every_parsed_word_is_valid(text):
+    word = WeylWord.parse(text)
+    assert WeylWord(word.letters) == word
 
 
 @PROPERTY
