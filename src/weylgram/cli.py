@@ -208,15 +208,9 @@ def _cmd_normal_order(args) -> int:
 
     params = _parse_params(args.param)
     word = weyl.WeylWord.parse(args.word)
-    if params:
-        if len(params) != 1:
-            raise ValueError("normal-order takes at most one --param")
-        (name, value), = params.items()
-        form = weyl.normal_order_p(word, name)
-        if isinstance(value, int):
-            form = form.substitute(name, value)
-    else:
-        form = weyl.normal_order(word)
+    if len(params) > 1:
+        raise ValueError("normal-order takes at most one --param")
+    form = weyl.normal_order_p(word, *params.values()) if params else weyl.normal_order(word)
     return _emit(
         args,
         lambda: str(form),

@@ -41,10 +41,9 @@ def _comb0(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def _as_param(value: ParamValue) -> Polynomial:
-    if isinstance(value, str):
-        return sym(value)
-    return coerce_polynomial(value)
+def _as_param(value: ParamValue) -> int | Polynomial:
+    """A str as its symbol; an int or a polynomial as it is."""
+    return sym(value) if isinstance(value, str) else value
 
 
 def _quotient(numerator: int, denominator: int, what: str, *at: int) -> int:
@@ -161,7 +160,8 @@ SECOND_ORDER_EULERIAN_ROWS: dict[int, tuple[int, ...]] = {
 _ZERO, _ONE, _P, _Q = Polynomial.zero(), Polynomial.one(), sym("p"), sym("q")
 
 
-# p or q is an integer, bound as the row is built, or None for the symbol.
+# Every family binds a parameter one way: an integer is used as an int while
+# the rows are built, a symbol is made once per call (None here for p or q).
 def _stirling_p_row(n: int, p: int | None = None) -> list[Polynomial]:
     return _rows(("stirling-p", p), n, 1, [_ZERO, _ONE], _two_term, lambda n, k: (_P if p is None else p) + (k - 1))
 
@@ -241,7 +241,8 @@ def gen_bell(n: int, r: int) -> int:
 
 def _whitney_row(n: int, m: ParamValue, r: ParamValue) -> list[Polynomial]:
     # W_{m,r}(n,k) = (r + k m) W(n-1,k) + W(n-1,k-1); W(0,k) = [k=0]
-    return _rows(("whitney", m, r), n, 0, [_ONE], _two_term, lambda n, k: _as_param(r) + _as_param(m) * k)
+    key, m, r = ("whitney", m, r), _as_param(m), _as_param(r)
+    return _rows(key, n, 0, [_ONE], _two_term, lambda n, k: r + m * k)
 
 
 def whitney(n: int, k: int, m: ParamValue = "m", r: ParamValue = "r") -> Polynomial:
@@ -298,13 +299,14 @@ SF_VARIANTS = ("plain", "bar", "tilde")
 
 def _sf_row(n: int, m: ParamValue, variant: str) -> list[Polynomial]:
     # stay m(k+1) - 1; step 1 (plain), m (bar) or m k (tilde)
+    key, m = ("sf", variant, m), _as_param(m)
     if variant == "plain":
         step = None
     elif variant == "bar":
-        step = lambda n, k: _as_param(m)
+        step = lambda n, k: m
     else:
-        step = lambda n, k: _as_param(m) * k
-    return _rows(("sf", variant, m), n, 0, [_ONE], _two_term, lambda n, k: _as_param(m) * (k + 1) - 1, step)
+        step = lambda n, k: m * k
+    return _rows(key, n, 0, [_ONE], _two_term, lambda n, k: m * (k + 1) - 1, step)
 
 
 def sf_numbers(n: int, k: int, m: ParamValue = "m", variant: str = "plain") -> Polynomial:

@@ -9,7 +9,7 @@ Independent routes to the normal form are provided: rewriting
 summation over contractions (``wick_sum``, counting them by number of
 edges) and the contraction walker; their agreement is a core
 verification target.  ``normal_order_p`` weighs each contracted adjacent
-pair by a symbol p.
+pair by p, a symbol name or an int.
 
 Rewriting holds a prefix's normal form on one index.  Every term
 c^i a^j of it has i - j = #c - #a of the prefix, so the form is one list
@@ -53,14 +53,15 @@ contractions they stand for.  It shares no code with the walker or with
 rewriting.
 
 ``normal_order_p`` rewrites too, on a pass of its own that keeps each
-coefficient as a list over the powers of p.  A ``c`` right after an
-``a`` contracts that ``a``, open in every term, with weight p, and any
-other open ``a`` with weight 1; every other ``c`` weighs each open ``a``
-by 1, as in ``normal_order``.  It shares no code with rewriting, the
-Wick scan or the walker, so the walker's tally by (edges, adjacent
-edges) is its oracle (the ``deformed`` suite in verify.py), and
-tests/test_route_independence.py checks by reading this file that the
-routes share no helper.
+coefficient as one int for an int p, bound as the form is built, and
+otherwise as a list over the powers of the symbol p.  A ``c`` right
+after an ``a`` contracts that ``a``, open in every term, with weight p,
+and any other open ``a`` with weight 1; every other ``c`` weighs each
+open ``a`` by 1, as in ``normal_order``.  It shares no code with
+rewriting, the Wick scan or the walker, so the walker's tally by
+(edges, adjacent edges) is its oracle (the ``deformed`` suite in
+verify.py), and tests/test_route_independence.py checks by reading this
+file that the routes share no helper.
 """
 
 from __future__ import annotations
@@ -202,11 +203,6 @@ class NormalForm:
 
     def coefficient(self, creation: int, annihilation: int) -> Polynomial:
         return self._terms.get((creation, annihilation), Polynomial.zero())
-
-    def substitute(self, name: str, value: Polynomial | int) -> "NormalForm":
-        return NormalForm(
-            {key: coeff.substitute(name, value) for key, coeff in self._terms.items()}
-        )
 
     def sorted_terms(self) -> list[tuple[tuple[int, int], Polynomial]]:
         return sorted(self._terms.items(), key=lambda item: (sum(item[0]), item[0]))
@@ -376,36 +372,43 @@ def wick_sum(word: WeylWord) -> NormalForm:
     return NormalForm._trusted(((creations - e, annihilations - e), n) for e, n in counts.items())
 
 
-def normal_order_p(word: WeylWord, p: str = "p") -> NormalForm:
-    """Deformed normal form: each contracted adjacent pair weighs p,
-    non-adjacent pairs weigh 1.
+def normal_order_p(word: WeylWord, p: str | int = "p") -> NormalForm:
+    """Deformed normal form: each contracted adjacent pair weighs p, a
+    symbol name or an int, and non-adjacent pairs weigh 1.
 
-    Rewriting with weights, on its own pass: coeffs[j][t] is the
-    coefficient of p^t c^(j + #c - #a) a^j in the prefix's form.  An
-    ``a`` inserts an empty coefficient at index 0.  A ``c`` contracts
-    one of the j + 1 open annihilations of c^i a^(j+1), so coeffs[j] +=
-    (j + 1) * coeffs[j + 1].  Right after an ``a``, that ``a`` is open in
-    every term and its pair with the ``c`` is adjacent: it weighs p and
-    each of the other j weighs 1, so coeffs[j] += (j + p) * coeffs[j + 1].
-    A word costs at most #c * (#a + 1) list updates, each over the
-    powers p^0..p^m, m the number of adjacent pairs ``ac`` in the word."""
-    coeffs: list[list[int]] = [[1]]
+    Rewriting with weights, on its own pass: coeffs[j] is the coefficient
+    of c^(j + #c - #a) a^j in the prefix's form, an int for an int p, and
+    for a symbol a list whose entry t is the coefficient of p^t.  An ``a``
+    inserts a zero coefficient at index 0.  A ``c`` contracts one of the
+    j + 1 open annihilations of c^i a^(j+1), so coeffs[j] += (j + 1) *
+    coeffs[j + 1].  Right after an ``a``, that ``a`` is open in every term
+    and its pair with the ``c`` is adjacent: it weighs p and each of the
+    other j weighs 1, so coeffs[j] += (j + p) * coeffs[j + 1].  A word
+    costs at most #c * (#a + 1) updates, of one int each for an int p, or
+    over the powers p^0..p^m, m the number of adjacent pairs ``ac``."""
+    integer = isinstance(p, int)
+    coeffs: list = [1] if integer else [[1]]
     adjacent = False  # the letter before is an a
     for letter in word.letters:
         if letter == ANNIHILATION:
-            coeffs.insert(0, [])
+            coeffs.insert(0, 0 if integer else [])
             adjacent = True
             continue
-        for j in range(len(coeffs) - 1):
-            above = coeffs[j + 1]
-            if adjacent:  # (j + p) * above, term by term: j * above[t] + above[t - 1]
-                step = [j * n + m for n, m in zip(above, [0] + above)] + above[-1:]
-            else:
-                step = [(j + 1) * n for n in above]
-            coeffs[j] = [n + m for n, m in itertools.zip_longest(coeffs[j], step, fillvalue=0)]
+        if integer:
+            weight = p if adjacent else 1
+            for j in range(len(coeffs) - 1):
+                coeffs[j] += (j + weight) * coeffs[j + 1]
+        else:
+            for j in range(len(coeffs) - 1):
+                above = coeffs[j + 1]
+                if adjacent:  # (j + p) * above, term by term: j * above[t] + above[t - 1]
+                    step = [j * n + m for n, m in zip(above, [0] + above)] + above[-1:]
+                else:
+                    step = [(j + 1) * n for n in above]
+                coeffs[j] = [n + m for n, m in itertools.zip_longest(coeffs[j], step, fillvalue=0)]
         adjacent = False
     shift = word.count(CREATION) - word.count(ANNIHILATION)
-    polys = [Polynomial({monomial({p: t}): n for t, n in enumerate(row) if n}) for row in coeffs]
+    polys = coeffs if integer else [Polynomial({monomial({p: t}): n for t, n in enumerate(row) if n}) for row in coeffs]
     return NormalForm({(j + shift, j): poly for j, poly in enumerate(polys)})
 
 

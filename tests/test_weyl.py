@@ -452,7 +452,7 @@ def test_deformed_degenerates_at_one():
         length = rng.randint(0, 8)
         letters = "".join(rng.choice("ac") for _ in range(length))
         word = WeylWord(letters)
-        assert normal_order_p(word).substitute("p", 1) == wick_sum(word)
+        assert normal_order_p(word, 1) == wick_sum(word)
 
 
 def test_nf_multiply_examples():

@@ -4,8 +4,9 @@ Rewriting, the Wick sum and the rook numbers of the word's Ferrers
 board (Varvak) are independent routes to the same counts, and the p-form
 equals the contraction walker's tally by (edges, adjacent edges).  Words
 past the enumerators' reach, up to 48 letters, are checked against the
-p-form at p = 1: the same recurrence as rewriting, run by a pass of its
-own code.
+p-form bound to p = 1, whose integer pass at that weight is rewriting's
+recurrence in code of its own.  The p-form bound to any integer is the
+symbolic p-form with that integer substituted into each coefficient.
 
 The words, contractions and integer normal forms the program builds
 itself, and the words that WeylWord.parse joins from checked pieces,
@@ -75,13 +76,21 @@ def test_wick_sum_equals_rewriting(word):
 @PROPERTY
 @given(words)
 def test_p_form_at_one_equals_rewriting(word):
-    assert normal_order_p(word).substitute("p", 1) == normal_order(word)
+    assert normal_order_p(word, 1) == normal_order(word)
 
 
 @PROPERTY
 @given(long_words)
 def test_p_form_at_one_equals_rewriting_on_long_words(word):
-    assert normal_order_p(word).substitute("p", 1) == normal_order(word)
+    assert normal_order_p(word, 1) == normal_order(word)
+
+
+@PROPERTY
+@given(st.text(alphabet="ac", max_size=40).map(WeylWord))
+def test_integer_p_form_is_the_symbolic_form_substituted(word):
+    symbolic = normal_order_p(word).terms().items()
+    for v in [*range(-3, 5), 12345678901234567890]:
+        assert normal_order_p(word, v) == NormalForm({key: coeff.substitute("p", v) for key, coeff in symbolic})
 
 
 @PROPERTY
